@@ -16,6 +16,7 @@
 #include "core/xta.h"
 #include "dram/dram_device.h"
 #include "sim/runner.h"
+#include "sim/system.h"
 #include "workloads/workload_registry.h"
 
 namespace {
@@ -161,14 +162,22 @@ void
 BM_BatchedDispatch(benchmark::State &state)
 {
     const workloads::Workload &w = workloads::findWorkload("mcf");
-    sim::RunConfig cfg;
-    cfg.numCores = 4;
-    cfg.instrPerCore = 20'000;
-    cfg.warmupInstrPerCore = 0;
-    cfg.seed = 42;
+    sim::RunConfig rc;
+    rc.numCores = 4;
+    rc.instrPerCore = 20'000;
+    rc.warmupInstrPerCore = 0;
+    rc.seed = 42;
+    sim::SystemConfig cfg = sim::makeSystemConfig(rc);
     cfg.stepBatch = static_cast<u32>(state.range(0));
-    for (auto _ : state)
-        benchmark::DoNotOptimize(sim::simulateOne(cfg, w, "hybrid2"));
+    auto factory = [](const mem::MemSystemParams &mp,
+                      const mem::LlcView &llc) {
+        return sim::makeDesign("hybrid2", mp, llc);
+    };
+    for (auto _ : state) {
+        sim::System system(cfg, w, factory);
+        system.run();
+        benchmark::DoNotOptimize(system.metrics());
+    }
 }
 BENCHMARK(BM_BatchedDispatch)
     ->Arg(1)

@@ -58,11 +58,9 @@ DramDevice::chunkDone(const BankState &bank, u64 row, Tick busUntil,
 }
 
 Tick
-DramDevice::accessChunk(Addr addr, u32 bytes, AccessType type, Tick now)
+DramDevice::accessChunk(u32 chIdx, u64 bankIdx, u64 row, u32 bytes,
+                        AccessType type, Tick now)
 {
-    u32 chIdx;
-    u64 bankIdx, row;
-    decode(addr, chIdx, bankIdx, row);
     ChannelState &ch = channels[chIdx];
     BankState &bank = ch.banks[bankIdx];
     DramStats &counters = ch.stats;
@@ -114,15 +112,11 @@ DramDevice::access(Addr addr, u32 bytes, AccessType type, Tick now)
               cfg.name, ": access beyond capacity, addr=", addr,
               " bytes=", bytes);
     Tick done = 0;
-    Addr cur = addr;
-    u64 remaining = bytes;
-    while (remaining > 0) {
-        u64 inChunk = cfg.interleaveBytes - (cur & geo.ilvMask);
-        u32 take = static_cast<u32>(std::min<u64>(inChunk, remaining));
-        done = std::max(done, accessChunk(cur, take, type, now));
-        cur += take;
-        remaining -= take;
-    }
+    forEachChunk(addr, bytes,
+                 [&](Addr, u32 take, u32 ch, u64 bank, u64 row) {
+                     done = std::max(
+                         done, accessChunk(ch, bank, row, take, type, now));
+                 });
     return done;
 }
 
@@ -136,73 +130,6 @@ DramDevice::probeChunkDone(Addr addr, u32 bytes, Tick start) const
     const BankState &bank = ch.banks[bankIdx];
     return chunkDone(bank, row, ch.busUntil,
                      bytes, std::max(start, bank.readyAt));
-}
-
-Tick
-DramDevice::probeLatency(Addr addr, u32 bytes, Tick now,
-                         AccessType type) const
-{
-    // Const replay of access(): identical chunking, with the bank and
-    // bus state a real access would mutate kept in small local
-    // overlays so multi-chunk requests that revisit a channel or bank
-    // still agree with the mutable path. (The earlier first-chunk
-    // shortcut diverged from access() for requests starting inside an
-    // interleave block: it sized the first burst from the request
-    // length instead of the distance to the chunk boundary.)
-    struct BankPatch { u32 ch; u64 bank; BankState state; };
-    struct BusPatch { u32 ch; Tick busUntil; };
-    std::vector<BankPatch> bankPatches;
-    std::vector<BusPatch> busPatches;
-
-    Tick done = 0;
-    Addr cur = addr;
-    u64 remaining = bytes;
-    while (remaining > 0) {
-        u64 inChunk = cfg.interleaveBytes - (cur & geo.ilvMask);
-        u32 take = static_cast<u32>(std::min<u64>(inChunk, remaining));
-
-        u32 chIdx;
-        u64 bankIdx, row;
-        decode(cur, chIdx, bankIdx, row);
-        BankState bank = channels[chIdx].banks[bankIdx];
-        for (const BankPatch &p : bankPatches)
-            if (p.ch == chIdx && p.bank == bankIdx)
-                bank = p.state;
-        Tick busUntil = channels[chIdx].busUntil;
-        for (const BusPatch &p : busPatches)
-            if (p.ch == chIdx)
-                busUntil = p.busUntil;
-
-        Tick start = std::max(now, bank.readyAt);
-        Tick dataEnd = chunkDone(bank, row, busUntil, take, start);
-        done = std::max(done, dataEnd);
-
-        bank.open = true;
-        bank.row = row;
-        bank.readyAt = type == AccessType::Write
-            ? dataEnd + Tick(cfg.tWr) * cfg.clockPs
-            : dataEnd;
-        bool found = false;
-        for (BankPatch &p : bankPatches)
-            if (p.ch == chIdx && p.bank == bankIdx) {
-                p.state = bank;
-                found = true;
-            }
-        if (!found)
-            bankPatches.push_back({chIdx, bankIdx, bank});
-        found = false;
-        for (BusPatch &p : busPatches)
-            if (p.ch == chIdx) {
-                p.busUntil = dataEnd;
-                found = true;
-            }
-        if (!found)
-            busPatches.push_back({chIdx, dataEnd});
-
-        cur += take;
-        remaining -= take;
-    }
-    return done - now;
 }
 
 DramStats

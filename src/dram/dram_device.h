@@ -12,6 +12,7 @@
 
 #pragma once
 
+#include <algorithm>
 #include <vector>
 
 #include "common/stats.h"
@@ -52,13 +53,12 @@ struct BankState
  * Per-channel shard of a DramDevice's mutable state: bus occupancy,
  * bank state, and this channel's slice of the traffic/energy counters.
  *
- * The shard is the device's threading seam. An access chunk touches
- * exactly one shard (chunks never cross an interleave boundary), so
- * the controller may advance the write queues of *different* channels
- * from different threads without synchronization — each worker mutates
- * only its own shard. Aggregation (DramDevice::stats() and friends)
- * walks the shards in channel order on the coordinating thread, so
- * serial and sharded execution produce identical totals.
+ * An access chunk touches exactly one shard (chunks never cross an
+ * interleave boundary). The counters stay per channel because the
+ * energy accumulators are non-integer doubles: DramDevice::stats()
+ * reduces the slices in channel order, and folding them into one
+ * device-wide accumulator would reorder the additions and change the
+ * reported bits.
  *
  * Internals are reachable only from src/dram and src/mem (enforced by
  * h2lint rule R1): everything else reads the aggregated DramStats.
@@ -73,11 +73,9 @@ struct ChannelState
 };
 
 /**
- * One DRAM device: a group of channels sharing geometry and timing.
- * No internal synchronization, but all mutable state is sharded per
- * channel (ChannelState); callers that never touch the same channel
- * from two threads at once — the queued controller's parallel drain —
- * may advance channels concurrently.
+ * One DRAM device: a group of channels sharing geometry and timing,
+ * with its mutable state kept per channel (ChannelState). Not
+ * thread-safe: one simulation owns each device.
  */
 class DramDevice
 {
@@ -92,26 +90,6 @@ class DramDevice
      * @return completion time of the last byte.
      */
     Tick access(Addr addr, u32 bytes, AccessType type, Tick now);
-
-    /**
-     * Latency the device would add for a @p bytes access at @p now,
-     * without mutating any state (used as the timing oracle in tests).
-     *
-     * Replays the exact chunking and bank/channel arithmetic of
-     * access() against a local overlay of the state the access would
-     * mutate, so probe == access-completion - now for any address and
-     * size, aligned or not.
-     *
-     * The probe sees only device state. With the queued controller
-     * (mem::MemController, queue=on) a subsequent access may first
-     * trigger a write-queue drain that pushes bank/bus availability
-     * past what the probe saw — the divergence is intentional: the
-     * probe answers "what would the *device* cost", not "what will the
-     * controller schedule". In queue=off mode the two are identical
-     * (pinned by a property test).
-     */
-    Tick probeLatency(Addr addr, u32 bytes, Tick now,
-                      AccessType type = AccessType::Read) const;
 
     /** Number of channels (chunk interleave targets). */
     u32 channelCount() const { return static_cast<u32>(channels.size()); }
@@ -184,11 +162,37 @@ class DramDevice
         }
     }
 
+    /**
+     * Split [@p addr, @p addr + @p bytes) at interleave boundaries and
+     * call @p fn(pieceAddr, pieceBytes, channel, bank, row) for each
+     * piece in address order, with the piece's decoded coordinates.
+     * Every chunk walk — the device's own access(), the controller's
+     * read sweep and its posted-write split — goes through here, so
+     * they all agree on where a request lands. A template, not a
+     * std::function: it sits on the per-access hot path.
+     */
+    template <typename Fn>
+    void
+    forEachChunk(Addr addr, u32 bytes, Fn &&fn) const
+    {
+        Addr cur = addr;
+        u64 remaining = bytes;
+        while (remaining > 0) {
+            u64 inChunk = cfg.interleaveBytes - (cur & geo.ilvMask);
+            u32 take = static_cast<u32>(std::min<u64>(inChunk, remaining));
+            u32 channel;
+            u64 bank, row;
+            decode(cur, channel, bank, row);
+            fn(cur, take, channel, bank, row);
+            cur += take;
+            remaining -= take;
+        }
+    }
+
     const DramParams &params() const { return cfg; }
 
     /** Aggregate traffic/energy counters: the per-channel slices
-     *  summed in channel order (deterministic regardless of how many
-     *  threads advanced the shards). */
+     *  summed in channel order. */
     DramStats stats() const;
 
     /**
@@ -261,10 +265,12 @@ class DramDevice
         return ceilDiv(bytes, u64(cfg.busBytes) * 2);
     }
 
-    Tick accessChunk(Addr addr, u32 bytes, AccessType type, Tick now);
+    /** One interleave chunk of access(), already decoded. */
+    Tick accessChunk(u32 chIdx, u64 bankIdx, u64 row, u32 bytes,
+                     AccessType type, Tick now);
 
-    /** Chunk completion given explicit bank/bus state (shared by the
-     *  mutable path's arithmetic and the const probes). */
+    /** Chunk completion given explicit bank/bus state (shared by
+     *  accessChunk and probeChunkDone). */
     Tick chunkDone(const BankState &bank, u64 row, Tick busUntil,
                    u32 bytes, Tick start) const;
 
@@ -275,9 +281,7 @@ class DramDevice
     Geometry geo;
     std::vector<ChannelState> channels;
     /** Per-bank written-bytes wear counters, indexed
-     *  [channel * banksPerChannel + bank]; empty unless trackWear.
-     *  Flat but shard-safe: a channel's workers touch only its own
-     *  index range. */
+     *  [channel * banksPerChannel + bank]; empty unless trackWear. */
     std::vector<u64> wearBytes;
     Tick statsSince = 0; ///< window start for busUtilization
 };

@@ -3,15 +3,12 @@
 #include <algorithm>
 
 #include "common/log.h"
-#include "common/thread_pool.h"
 
 namespace h2::mem {
 
 MemController::MemController(dram::DramDevice &device,
-                             const QueueParams &params,
-                             ThreadPool *workerPool)
-    : dev(device), cfg(params), pool(workerPool),
-      ilvMask(u64(device.params().interleaveBytes) - 1)
+                             const QueueParams &params)
+    : dev(device), cfg(params)
 {
     h2_assert(cfg.writeLowWatermark < cfg.writeHighWatermark,
               "write-drain watermarks must satisfy low < high (got low=",
@@ -19,8 +16,6 @@ MemController::MemController(dram::DramDevice &device,
     u32 n = dev.channelCount();
     writeQ.resize(n);
     inflight.resize(n);
-    rowHitBypassCh.assign(n, 0);
-    writeDelayCh.resize(n);
     readDepth.reserve(n);
     writeDepth.reserve(n);
     for (u32 c = 0; c < n; ++c) {
@@ -55,7 +50,7 @@ MemController::dispatchWrite(u32 ch, size_t idx, Tick issueTick)
 {
     QueuedWrite w = writeQ[ch][idx];
     writeQ[ch].erase(writeQ[ch].begin() + idx);
-    writeDelayCh[ch].sample(
+    writeDelay.sample(
         double(issueTick > w.readyAt ? issueTick - w.readyAt : 0));
     Tick done = dev.access(w.addr, w.bytes, AccessType::Write, issueTick);
     trackInflight(ch, done);
@@ -77,7 +72,7 @@ MemController::idleDrain(u32 ch, Tick now)
         if (dev.probeChunkDone(w.addr, w.bytes, issueTick) > now)
             break;
         if (bypass)
-            ++rowHitBypassCh[ch];
+            ++nRowHitBypasses;
         dispatchWrite(ch, idx, issueTick);
     }
 }
@@ -91,7 +86,7 @@ MemController::forcedDrain(u32 ch, Tick now)
         bool bypass = false;
         size_t idx = pickFrFcfs(q, bypass);
         if (bypass)
-            ++rowHitBypassCh[ch];
+            ++nRowHitBypasses;
         dispatchWrite(ch, idx, now);
     }
 }
@@ -125,15 +120,7 @@ MemController::access(Addr addr, u32 bytes, AccessType type, Tick now)
     // the request will serialize behind (bus + bank occupancy left by
     // earlier traffic, including any forced write drains).
     Tick queueDelay = 0;
-    Addr cur = addr;
-    u64 remaining = bytes;
-    const u32 ilv = dev.params().interleaveBytes;
-    while (remaining > 0) {
-        u64 inChunk = ilv - (cur & ilvMask);
-        u32 take = static_cast<u32>(std::min<u64>(inChunk, remaining));
-        u32 ch;
-        u64 bank, row;
-        dev.decode(cur, ch, bank, row);
+    dev.forEachChunk(addr, bytes, [&](Addr, u32, u32 ch, u64 bank, u64) {
         idleDrain(ch, now);
         if (type == AccessType::Read)
             sampleReadDepth(ch, now);
@@ -141,9 +128,7 @@ MemController::access(Addr addr, u32 bytes, AccessType type, Tick now)
             std::max(dev.channelBusUntil(ch), dev.bankReadyAt(ch, bank));
         if (waitUntil > now)
             queueDelay = std::max(queueDelay, waitUntil - now);
-        cur += take;
-        remaining -= take;
-    }
+    });
     if (type == AccessType::Read) {
         ++nReads;
         readDelay.sample(double(queueDelay));
@@ -151,18 +136,9 @@ MemController::access(Addr addr, u32 bytes, AccessType type, Tick now)
 
     Tick done = dev.access(addr, bytes, type, now);
 
-    cur = addr;
-    remaining = bytes;
-    while (remaining > 0) {
-        u64 inChunk = ilv - (cur & ilvMask);
-        u32 take = static_cast<u32>(std::min<u64>(inChunk, remaining));
-        u32 ch;
-        u64 bank, row;
-        dev.decode(cur, ch, bank, row);
+    dev.forEachChunk(addr, bytes, [&](Addr, u32, u32 ch, u64, u64) {
         trackInflight(ch, dev.channelBusUntil(ch));
-        cur += take;
-        remaining -= take;
-    }
+    });
     return done;
 }
 
@@ -175,15 +151,7 @@ MemController::post(Addr addr, u32 bytes, Tick readyAt)
         // availability.
         return dev.access(addr, bytes, AccessType::Write, readyAt);
     }
-    Addr cur = addr;
-    u64 remaining = bytes;
-    const u32 ilv = dev.params().interleaveBytes;
-    while (remaining > 0) {
-        u64 inChunk = ilv - (cur & ilvMask);
-        u32 take = static_cast<u32>(std::min<u64>(inChunk, remaining));
-        u32 ch;
-        u64 bank, row;
-        dev.decode(cur, ch, bank, row);
+    dev.forEachChunk(addr, bytes, [&](Addr cur, u32 take, u32 ch, u64, u64) {
         auto &q = writeQ[ch];
         double depth = double(q.size());
         writeDepth[ch].sample(depth);
@@ -191,9 +159,7 @@ MemController::post(Addr addr, u32 bytes, Tick readyAt)
         q.push_back({cur, take, readyAt, nextSeq++});
         if (q.size() >= cfg.writeHighWatermark)
             forcedDrain(ch, readyAt);
-        cur += take;
-        remaining -= take;
-    }
+    });
     return readyAt;
 }
 
@@ -206,7 +172,7 @@ MemController::drainChannel(u32 ch, Tick now)
         bool bypass = false;
         size_t idx = pickFrFcfs(q, bypass);
         if (bypass)
-            ++rowHitBypassCh[ch];
+            ++nRowHitBypasses;
         Tick issueTick = std::max(now, q[idx].readyAt);
         last = std::max(last, dispatchWrite(ch, idx, issueTick));
     }
@@ -216,28 +182,9 @@ MemController::drainChannel(u32 ch, Tick now)
 Tick
 MemController::drainAll(Tick now)
 {
-    u32 n = static_cast<u32>(writeQ.size());
-    std::vector<Tick> lastPerCh(n, now);
-    if (pool && pool->size() > 1 && n > 1) {
-        // Each worker advances exactly one channel: its write queue,
-        // its ChannelState shard inside the device, and its stat
-        // shards. Queued entries never cross an interleave boundary,
-        // so no dispatch touches another channel's state; every stat
-        // a drain mutates is per-channel, so the only shared step is
-        // the fixed-order reduction below — identical to the serial
-        // path bit for bit.
-        for (u32 ch = 0; ch < n; ++ch)
-            pool->submit([this, ch, now, &lastPerCh] {
-                lastPerCh[ch] = drainChannel(ch, now);
-            });
-        pool->drain();
-    } else {
-        for (u32 ch = 0; ch < n; ++ch)
-            lastPerCh[ch] = drainChannel(ch, now);
-    }
     Tick last = now;
-    for (Tick t : lastPerCh)
-        last = std::max(last, t);
+    for (u32 ch = 0; ch < writeQ.size(); ++ch)
+        last = std::max(last, drainChannel(ch, now));
     return last;
 }
 
@@ -248,29 +195,6 @@ MemController::queuedWrites() const
     for (const auto &q : writeQ)
         n += q.size();
     return n;
-}
-
-u64
-MemController::rowHitBypasses() const
-{
-    u64 n = 0;
-    for (u64 c : rowHitBypassCh)
-        n += c;
-    return n;
-}
-
-double
-MemController::avgWriteQueueDelayPs() const
-{
-    // Counts and tick sums are exact (integer-valued doubles), so the
-    // channel-order merge reproduces the chronological mean exactly.
-    u64 n = 0;
-    double total = 0.0;
-    for (const Distribution &d : writeDelayCh) {
-        n += d.count();
-        total += d.sum();
-    }
-    return n ? total / n : 0.0;
 }
 
 const Histogram &
@@ -290,10 +214,9 @@ MemController::resetStats()
 {
     nReads = 0;
     nDrainEpisodes = 0;
-    std::fill(rowHitBypassCh.begin(), rowHitBypassCh.end(), 0);
+    nRowHitBypasses = 0;
     readDelay.reset();
-    for (auto &d : writeDelayCh)
-        d.reset();
+    writeDelay.reset();
     readDepthDist.reset();
     writeDepthDist.reset();
     for (auto &h : readDepth)

@@ -28,9 +28,6 @@ System::System(const SystemConfig &config,
     cfg.hier.numCores = cfg.numCores;
     hier = std::make_unique<cache::CacheHierarchy>(cfg.hier);
     llcView = std::make_unique<HierarchyLlcView>(*hier);
-    if (cfg.simThreads > 1)
-        simPool = std::make_unique<ThreadPool>(cfg.simThreads);
-    cfg.mem.simPool = simPool.get();
     mem = factory(cfg.mem, *llcView);
     h2_assert(mem, "design factory returned nothing");
 
@@ -125,8 +122,6 @@ System::runUntil(u64 instrTarget)
         nowLane[pick] = cores[pick]->now();
         if (cores[pick]->instructions() >= instrTarget)
             eligible[pick] = 0;
-        ++nBatches;
-        batchFillSum += executed;
         untilCheck -= executed;
         if (untilCheck == 0) {
             untilCheck = kCancelCheckStride;
@@ -202,12 +197,6 @@ System::metrics() const
     m.footprintBytes = wl.footprintBytes;
     hier->collectStats(m.detail);
     mem->collectStats(m.detail);
-    if (cfg.batchStats) {
-        m.detail.add("sim.batchesDispatched", double(nBatches));
-        m.detail.add("sim.avgBatchFill",
-                     nBatches ? double(batchFillSum) / double(nBatches)
-                              : 0.0);
-    }
     return m;
 }
 

@@ -2,13 +2,13 @@
  * @file
  * Batched-pipeline equivalence suite.
  *
- * The scheduler's batched stepping (SystemConfig::stepBatch) and the
- * sharded-device parallelism (SystemConfig::simThreads) are pure
- * performance features: both must replay the scalar, single-threaded
- * simulation bit for bit. This suite pins that contract across every
- * registered design — a new design inherits the checks automatically —
- * by comparing full Metrics (every scalar plus the detail StatSet)
- * with operator==, i.e. bitwise double equality, not tolerance.
+ * The scheduler's batched stepping (SystemConfig::stepBatch) is a pure
+ * performance feature: it must replay the scalar one-record-per-
+ * dispatch simulation bit for bit. This suite pins that contract
+ * across every registered design — a new design inherits the checks
+ * automatically — by comparing full Metrics (every scalar plus the
+ * detail StatSet) with operator==, i.e. bitwise double equality, not
+ * tolerance.
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +18,7 @@
 
 #include "sim/design_registry.h"
 #include "sim/runner.h"
+#include "sim/system.h"
 #include "workloads/workload_spec.h"
 
 namespace h2 {
@@ -42,13 +43,17 @@ const std::vector<std::string> kWorkloads = {"lbm", "mcf",
 
 sim::Metrics
 runWith(const std::string &design, const std::string &workloadSpec,
-        u32 stepBatch, u32 simThreads)
+        u32 stepBatch)
 {
-    sim::RunConfig cfg = baseConfig();
+    sim::SystemConfig cfg = sim::makeSystemConfig(baseConfig());
     cfg.stepBatch = stepBatch;
-    cfg.simThreads = simThreads;
-    return sim::simulateOne(
-        cfg, workloads::resolveWorkloadOrFatal(workloadSpec), design);
+    sim::System system(cfg, workloads::resolveWorkloadOrFatal(workloadSpec),
+                       [&](const mem::MemSystemParams &mp,
+                           const mem::LlcView &llc) {
+                           return sim::makeDesign(design, mp, llc);
+                       });
+    system.run();
+    return system.metrics();
 }
 
 /** stepBatch=1 degenerates to the scalar one-record-per-dispatch loop;
@@ -59,8 +64,8 @@ expectBatchedEqualsScalar(const std::string &workloadSpec)
     for (const sim::DesignInfo *info :
          sim::DesignRegistry::instance().all()) {
         SCOPED_TRACE(info->name + " x " + workloadSpec);
-        sim::Metrics scalar = runWith(info->name, workloadSpec, 1, 1);
-        sim::Metrics batched = runWith(info->name, workloadSpec, 64, 1);
+        sim::Metrics scalar = runWith(info->name, workloadSpec, 1);
+        sim::Metrics batched = runWith(info->name, workloadSpec, 64);
         EXPECT_TRUE(scalar == batched)
             << info->name << " x " << workloadSpec
             << ": stepBatch=64 diverged from stepBatch=1\nscalar:\n"
@@ -88,28 +93,9 @@ TEST(BatchedEquivalence, AllDesignsMix)
 // is design-agnostic.
 TEST(BatchedEquivalence, OddBatchSizeHybrid2)
 {
-    sim::Metrics scalar = runWith("hybrid2", "mix:mcf+xalanc:2", 1, 1);
-    sim::Metrics odd = runWith("hybrid2", "mix:mcf+xalanc:2", 7, 1);
+    sim::Metrics scalar = runWith("hybrid2", "mix:mcf+xalanc:2", 1);
+    sim::Metrics odd = runWith("hybrid2", "mix:mcf+xalanc:2", 7);
     EXPECT_TRUE(scalar == odd);
-}
-
-/** --sim-threads partitions controller drains by ChannelState shard;
- *  every design must produce bit-identical metrics with workers on. */
-TEST(BatchedEquivalence, SimThreadsAllDesignsMix)
-{
-    for (const sim::DesignInfo *info :
-         sim::DesignRegistry::instance().all()) {
-        SCOPED_TRACE(info->name);
-        sim::Metrics serial =
-            runWith(info->name, "mix:mcf+xalanc:2", 64, 1);
-        sim::Metrics threaded =
-            runWith(info->name, "mix:mcf+xalanc:2", 64, 4);
-        EXPECT_TRUE(serial == threaded)
-            << info->name
-            << ": --sim-threads 4 diverged from single-threaded\n"
-            << "serial:\n" << serial.toJson() << "\nthreaded:\n"
-            << threaded.toJson();
-    }
 }
 
 } // namespace

@@ -143,18 +143,6 @@ TEST_P(DramPresets, QueueingDelaysLaterTraffic)
     EXPECT_GE(lastDone, 31 * burst);
 }
 
-TEST_P(DramPresets, ProbeLatencyDoesNotMutate)
-{
-    DramDevice dev(params());
-    dev.access(0, 64, AccessType::Read, 0);
-    auto statsBefore = dev.stats().totalBytes();
-    Tick probe1 = dev.probeLatency(0, 64, 1000000);
-    Tick probe2 = dev.probeLatency(0, 64, 1000000);
-    EXPECT_EQ(probe1, probe2);
-    EXPECT_EQ(dev.stats().totalBytes(), statsBefore);
-    EXPECT_GT(probe1, 0u);
-}
-
 TEST_P(DramPresets, UtilizationBounded)
 {
     DramDevice dev(params());
@@ -253,35 +241,51 @@ TEST(DramDevice, BusUtilizationDegenerateWindowIsZero)
     EXPECT_DOUBLE_EQ(dev.busUtilization(0), 0.0);
 }
 
-TEST(DramDevice, ProbeEqualsAccessForUnalignedMultiChunk)
+TEST(DramDevice, ForEachChunkTilesRequestAtInterleaveBlocks)
 {
-    // Satellite regression: probeLatency must replay access() exactly
-    // for *any* address and size — including accesses that start
-    // mid-chunk and span several channels — not just aligned
-    // single-chunk requests (test_hotpath_arith pins those). The
-    // pre-fix probe approximated multi-chunk requests and drifted.
-    for (const char *preset : {"hbm2", "ddr4", "pcm"}) {
-        std::string name(preset);
-        auto p = name == "hbm2" ? DramParams::hbm2(256 * MiB)
-            : name == "ddr4"    ? DramParams::ddr4_3200(256 * MiB)
-                                : DramParams::pcm(256 * MiB);
+    // Every chunk walk (device access, controller read sweep, posted
+    // write split) goes through forEachChunk. For unaligned requests
+    // of up to four interleave blocks its pieces must be contiguous,
+    // each inside one interleave block, sum to the request size, and
+    // carry decode() of their own start address.
+    DramParams odd = DramParams::ddr4_3200(256 * MiB);
+    odd.name = "odd";
+    odd.channels = 3;        // div/mod decode fallback
+    odd.banksPerChannel = 5;
+    odd.rowBytes = 1536;
+    for (const DramParams &p :
+         {DramParams::hbm2(256 * MiB), DramParams::ddr4_3200(256 * MiB),
+          DramParams::pcm(256 * MiB), odd}) {
+        SCOPED_TRACE(p.name);
         DramDevice dev(p);
+        const u64 ilv = p.interleaveBytes;
         u64 state = 99;
-        Tick now = 0;
-        for (int i = 0; i < 1500; ++i) {
+        for (int i = 0; i < 2000; ++i) {
             state = state * 6364136223846793005ull
                 + 1442695040888963407ull;
-            now += (state >> 33) % 4000;
-            // Unaligned start, 1..~4 interleave chunks.
-            Addr addr = (state >> 16) % (255 * MiB);
-            u32 bytes = 1 + u32((state >> 7) % (p.interleaveBytes * 4));
-            AccessType t = (state & 1) ? AccessType::Read
-                                       : AccessType::Write;
-            Tick predicted = dev.probeLatency(addr, bytes, now, t);
-            Tick done = dev.access(addr, bytes, t, now);
-            ASSERT_EQ(now + predicted, done)
-                << preset << " access " << i << " addr " << addr
-                << " bytes " << bytes;
+            Addr addr = (state >> 16) % (p.capacityBytes - 4 * ilv);
+            u32 bytes = 1 + u32((state >> 7) % (4 * ilv));
+            Addr next = addr;
+            u64 total = 0;
+            dev.forEachChunk(
+                addr, bytes,
+                [&](Addr piece, u32 take, u32 ch, u64 bank, u64 row) {
+                    ASSERT_EQ(piece, next) << "gap or overlap";
+                    ASSERT_GT(take, 0u);
+                    ASSERT_EQ(piece / ilv, (piece + take - 1) / ilv)
+                        << "piece crosses an interleave boundary";
+                    u32 refCh;
+                    u64 refBank, refRow;
+                    dev.decode(piece, refCh, refBank, refRow);
+                    ASSERT_EQ(ch, refCh);
+                    ASSERT_EQ(bank, refBank);
+                    ASSERT_EQ(row, refRow);
+                    next += take;
+                    total += take;
+                });
+            ASSERT_FALSE(HasFailure())
+                << "addr " << addr << " bytes " << bytes;
+            ASSERT_EQ(total, bytes) << "addr " << addr;
         }
     }
 }

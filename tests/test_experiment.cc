@@ -66,10 +66,19 @@ TEST(ExperimentParse, KeyEqualsValueSpellingAccepted)
 TEST(ExperimentParse, ErrorsNameTheOffendingLine)
 {
     std::string err;
-    EXPECT_FALSE(ExperimentSpec::parse(
-        "design dfc\nworkload lbm\nfrobnicate 3\n", &err));
-    EXPECT_NE(err.find("line 3"), std::string::npos) << err;
-    EXPECT_NE(err.find("frobnicate"), std::string::npos);
+    // The removed scheduler-batch and intra-simulation thread knobs
+    // must fail like any other unknown key, not run with the setting
+    // silently ignored.
+    for (const char *key : {"frobnicate", "sim-threads", "sim_threads",
+                            "step-batch", "step_batch", "batch-stats"}) {
+        EXPECT_FALSE(ExperimentSpec::parse(
+            std::string("design dfc\nworkload lbm\n") + key + " 3\n",
+            &err));
+        EXPECT_NE(err.find("line 3"), std::string::npos) << err;
+        EXPECT_NE(err.find(std::string("unknown directive '") + key + "'"),
+                  std::string::npos)
+            << err;
+    }
 
     EXPECT_FALSE(
         ExperimentSpec::parse("design frobcache\nworkload lbm\n", &err));

@@ -95,25 +95,6 @@ TEST(DramDecode, Table1PresetsMatchReference)
     }
 }
 
-TEST(DramDecode, ProbeEqualsAccessForSingleChunk)
-{
-    // probeLatency must predict exactly what a mutating access of one
-    // interleave chunk reports, at every point of a random sequence.
-    Rng rng(17);
-    auto p = geometry(3, 8, 2048, 256); // non-pow2 channels on purpose
-    dram::DramDevice dev(p);
-    Tick now = 0;
-    for (int i = 0; i < 2000; ++i) {
-        now += rng.below(3000);
-        u64 chunks = p.capacityBytes / p.interleaveBytes;
-        Addr addr = rng.below(chunks) * p.interleaveBytes;
-        u32 bytes = 64u << rng.below(3); // 64..256 = full chunk
-        Tick predicted = dev.probeLatency(addr, bytes, now);
-        Tick done = dev.access(addr, bytes, AccessType::Read, now);
-        ASSERT_EQ(now + predicted, done) << "access " << i;
-    }
-}
-
 TEST(XtaGeometry, MaskShiftMatchesDivMod)
 {
     Rng rng(29);

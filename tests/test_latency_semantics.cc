@@ -97,7 +97,10 @@ minReadLatencyPs(const dram::DramParams &params, u32 bytes)
 {
     dram::DramDevice dev(params);
     dev.access(0, bytes, AccessType::Read, 0); // open the covered rows
-    return dev.probeLatency(0, bytes, Tick(1) << 40);
+    // Measure on a copy so the oracle never disturbs the device state.
+    auto d = dev;
+    Tick t = Tick(1) << 40;
+    return d.access(0, bytes, AccessType::Read, t) - t;
 }
 
 /** Latency of one quiesced access. */

@@ -265,6 +265,24 @@ TEST(MemController, MultiChunkPostSplitsAcrossChannels)
     EXPECT_EQ(dev.stats().bytesWritten, 512u);
 }
 
+TEST(MemController, UnalignedMultiChunkPostEnqueuesOneEntryPerPiece)
+{
+    dram::DramDevice dev(ddr());
+    MemController ctrl(dev, queueOn());
+
+    // [200, 600) splits at 256 and 512: 56 B on channel 0, 256 B on
+    // channel 1, 88 B on channel 0 again.
+    u64 pieces = 0;
+    dev.forEachChunk(200, 400, [&](Addr, u32, u32, u64, u64) { ++pieces; });
+    ASSERT_EQ(pieces, 3u);
+    ctrl.post(200, 400, 1000);
+    EXPECT_EQ(ctrl.queuedWrites(), pieces);
+    ctrl.drainAll(10000);
+    EXPECT_EQ(ctrl.queuedWrites(), 0u);
+    EXPECT_EQ(dev.stats().writes, pieces);
+    EXPECT_EQ(dev.stats().bytesWritten, 400u);
+}
+
 // ---------------------------------------------------------------------
 // stat hygiene
 // ---------------------------------------------------------------------

@@ -356,11 +356,11 @@ checkDeviceSeam(const std::string &relPath, const ScrubbedFile &sf,
          it != std::sregex_iterator(); ++it)
         flag(size_t(it->position(0)), (*it)[1].str());
 
-    // The per-channel shard is the device's private threading seam:
-    // naming its types outside src/mem/ + src/dram/ couples callers to
-    // the bank/bus layout that --sim-threads parallelism depends on.
-    // (Comment mentions never trip this — the scan runs on scrubbed
-    // code.)
+    // The per-channel shard is a device internal: naming its types
+    // outside src/mem/ + src/dram/ couples callers to the bank/bus
+    // layout, which must stay free to change behind the aggregate
+    // accessors. (Comment mentions never trip this — the scan runs on
+    // scrubbed code.)
     static const std::regex kShard(R"(\b(ChannelState|BankState)\b)");
     for (auto it = std::sregex_iterator(code.begin(), code.end(),
                                         kShard);
@@ -369,7 +369,7 @@ checkDeviceSeam(const std::string &relPath, const ScrubbedFile &sf,
              detail::lineOf(code, size_t(it->position(0))),
              "dram::" + (*it)[1].str() +
                  " named outside src/mem/ + src/dram/ — the channel "
-                 "shard is the device's private threading seam; read "
+                 "shard is a private device internal; read "
                  "DramDevice::stats()/busUtilization() aggregates "
                  "instead");
 }
