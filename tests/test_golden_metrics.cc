@@ -57,20 +57,17 @@ updateRequested()
     return env && *env && std::string(env) != "0";
 }
 
+/** Snapshot file of one leg; @p subdir ("" for the default grid, else
+ *  "/<suite>") names the suite directory under tests/golden. */
 std::string
 goldenPath(const std::string &design, const std::string &workload,
-           bool queue, dram::FarMemTech fm)
+           const std::string &subdir)
 {
     std::string file = design + "_" + workload + ".json";
     for (char &c : file)
         if (c == ':' || c == '+' || c == '/')
             c = '-';
-    std::string dir = std::string(H2_GOLDEN_DIR);
-    if (!queue)
-        dir += "/noqueue";
-    if (fm == dram::FarMemTech::Pcm)
-        dir += "/pcm";
-    return dir + "/" + file;
+    return std::string(H2_GOLDEN_DIR) + subdir + "/" + file;
 }
 
 /** True when a token is spelled as floating point ("." or exponent).
@@ -138,32 +135,30 @@ compareJson(const std::string &want, const std::string &got)
     return {};
 }
 
-void
-checkGolden(const std::string &design, const std::string &workloadSpec,
-            bool queue = true,
-            dram::FarMemTech fm = dram::FarMemTech::Dram)
+/** Run one leg under @p cfg and compare (or, under H2_UPDATE_GOLDEN,
+ *  rewrite) its snapshot in @p subdir; returns the run's metrics. */
+sim::Metrics
+runGolden(const std::string &design, const std::string &workloadSpec,
+          const sim::RunConfig &cfg, const std::string &subdir)
 {
-    sim::RunConfig cfg = goldenConfig();
-    cfg.queue = queue;
-    cfg.fm = fm;
     sim::Metrics m = sim::simulateOne(
         cfg, workloads::resolveWorkloadOrFatal(workloadSpec), design);
     std::string got = m.toJson();
-    std::string path = goldenPath(design, workloadSpec, queue, fm);
+    std::string path = goldenPath(design, workloadSpec, subdir);
 
     if (updateRequested()) {
         std::ofstream out(path);
-        ASSERT_TRUE(out) << "cannot write " << path;
+        EXPECT_TRUE(out) << "cannot write " << path;
         out << got;
-        SUCCEED() << "updated " << path;
-        return;
+        return m;
     }
 
     std::ifstream in(path);
     if (!in) {
-        FAIL() << "missing golden snapshot " << path
-               << " — generate it with H2_UPDATE_GOLDEN=1 and commit it";
-        return;
+        ADD_FAILURE() << "missing golden snapshot " << path
+                      << " — generate it with H2_UPDATE_GOLDEN=1 and "
+                         "commit it";
+        return m;
     }
     std::ostringstream buf;
     buf << in.rdbuf();
@@ -174,6 +169,37 @@ checkGolden(const std::string &design, const std::string &workloadSpec,
         << "\nIf the change is intentional, regenerate with "
            "H2_UPDATE_GOLDEN=1 ctest -R GoldenMetrics and commit the "
            "diff.\nFull run output:\n" << got;
+    return m;
+}
+
+void
+checkGolden(const std::string &design, const std::string &workloadSpec,
+            bool queue = true,
+            dram::FarMemTech fm = dram::FarMemTech::Dram)
+{
+    sim::RunConfig cfg = goldenConfig();
+    cfg.queue = queue;
+    cfg.fm = fm;
+    std::string subdir;
+    if (!queue)
+        subdir += "/noqueue";
+    if (fm == dram::FarMemTech::Pcm)
+        subdir += "/pcm";
+    runGolden(design, workloadSpec, cfg, subdir);
+}
+
+/** A migrating leg: long enough that interval boundaries pass and
+ *  segments swap. The counter checks keep the leg from silently
+ *  turning into another no-migration snapshot. */
+void
+checkMigratingGolden(const std::string &design)
+{
+    sim::RunConfig cfg = goldenConfig();
+    cfg.instrPerCore = 200'000;
+    cfg.warmupInstrPerCore = 66'000;
+    sim::Metrics m = runGolden(design, "lbm", cfg, "/migrating");
+    EXPECT_GT(m.detail.get(design + ".intervals"), 0.0);
+    EXPECT_GT(m.detail.get(design + ".migrations"), 0.0);
 }
 
 // The grid: the three structurally different memory organizations
@@ -254,6 +280,15 @@ TEST(GoldenMetricsPcm, Hybrid2Mcf)
 {
     checkGolden("hybrid2", "mcf", /*queue=*/true, dram::FarMemTech::Pcm);
 }
+
+// migrating legs: at the default scale above no MemPod/LGM interval
+// ends, so no snapshot there runs a segment swap. 200k instructions
+// per core (66k warm-up) on lbm crosses a few 50 us boundaries: the
+// swap path, the interval-end policies and the write order of both
+// flat-space migration designs are pinned here.
+
+TEST(GoldenMetricsMigrating, MempodLbm) { checkMigratingGolden("mempod"); }
+TEST(GoldenMetricsMigrating, LgmLbm) { checkMigratingGolden("lgm"); }
 
 } // namespace
 } // namespace h2
