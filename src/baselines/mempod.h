@@ -14,15 +14,12 @@
 
 #pragma once
 
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 #include "baselines/mea.h"
+#include "baselines/segment_migration.h"
 #include "common/units.h"
-#include "baselines/remap_cache.h"
-#include "core/remap_table.h"
-#include "mem/hybrid_memory.h"
 
 namespace h2::baselines {
 
@@ -42,42 +39,22 @@ struct MemPodParams
     bool requirePersistence = true;
 };
 
-class MemPod : public mem::HybridMemory
+class MemPod : public SegmentMigration
 {
   public:
     MemPod(const mem::MemSystemParams &sysParams,
            const MemPodParams &params = {});
 
-    mem::MemResult access(Addr addr, AccessType type, Tick now) override;
     std::string name() const override { return "MPOD"; }
-    u64 flatCapacity() const override { return sys.nmBytes + sys.fmBytes; }
-    void collectStats(StatSet &out) const override;
-    void resetStats() override;
-    void checkInvariants() const override;
-
-    u64 migrations() const { return nMigrations; }
-    core::Loc locate(u64 flatSeg) const { return remap.lookup(flatSeg); }
 
   private:
-    void endInterval(mem::Timeline &tl);
-    void swapSegments(u64 hotSeg, u64 nmLoc, mem::Timeline &tl);
-    void metaAccess(AccessType type, mem::Timeline &tl);
+    void onFmAccess(u64 seg) override { podMea[seg % cfg.pods].touch(seg); }
+    void endInterval(mem::Timeline &tl) override;
 
     MemPodParams cfg;
-    u64 nmSegs;
-    u64 fmSegs;
-    core::RemapTable remap; ///< reused with a zero cache region
-    RemapCache remapCache;
     std::vector<Mea> podMea;
     std::vector<u64> podFifo; ///< round-robin NM victim pointer per pod
     std::unordered_set<u64> prevTracked; ///< MEA survivors, last interval
-    Tick nextInterval;
-    u64 metaRotor = 0;
-
-    u64 nMigrations = 0;
-    u64 nIntervals = 0;
-    u64 nMetaReads = 0;
-    u64 nMetaWrites = 0;
 };
 
 } // namespace h2::baselines

@@ -2,10 +2,12 @@
  * @file
  * On-chip remap-entry cache used by the migration baselines.
  *
- * Mempod, Chameleon and LGM keep their full remap tables in memory and
- * cache recently used entries on-chip. Per the paper's methodology the
- * remap cache of every baseline is sized equal to Hybrid2's XTA (512 KB)
- * for a fair comparison.
+ * MemPod, LGM (through SegmentMigration) and Chameleon keep their full
+ * remap tables in the NM metadata region and cache recently used
+ * entries on-chip; DFC uses one as its fused tag cache. A miss costs
+ * the caller one HybridMemory::nmMetaRegionAccess read. Per the
+ * paper's methodology the remap cache of every baseline is sized equal
+ * to Hybrid2's XTA (512 KB) for a fair comparison.
  */
 
 #pragma once

@@ -7,52 +7,6 @@
 
 namespace h2 {
 
-Histogram::Histogram(u32 numBuckets, double bucketWidth)
-    : width(bucketWidth), counts(numBuckets, 0)
-{
-    h2_assert(numBuckets > 0 && bucketWidth > 0, "bad histogram shape");
-}
-
-void
-Histogram::sample(double v)
-{
-    ++n;
-    if (v < 0)
-        v = 0;
-    auto idx = static_cast<u64>(v / width);
-    if (idx >= counts.size())
-        ++overflow;
-    else
-        ++counts[idx];
-}
-
-double
-Histogram::quantile(double q) const
-{
-    if (n == 0)
-        return 0.0;
-    h2_assert(q >= 0.0 && q <= 1.0, "quantile out of [0,1]");
-    u64 target = static_cast<u64>(q * n);
-    u64 seen = 0;
-    for (u32 i = 0; i < counts.size(); ++i) {
-        if (seen + counts[i] >= target && counts[i] > 0) {
-            double frac = counts[i]
-                ? double(target - seen) / double(counts[i]) : 0.0;
-            return (i + frac) * width;
-        }
-        seen += counts[i];
-    }
-    return counts.size() * width;
-}
-
-void
-Histogram::reset()
-{
-    std::fill(counts.begin(), counts.end(), 0);
-    n = 0;
-    overflow = 0;
-}
-
 double
 geomean(const std::vector<double> &values)
 {

@@ -49,28 +49,6 @@ class Distribution
     double total = 0.0;
 };
 
-/** Fixed-bucket histogram over [0, buckets*bucketWidth). */
-class Histogram
-{
-  public:
-    Histogram(u32 numBuckets, double width);
-
-    void sample(double v);
-    u64 count() const { return n; }
-    u64 bucketCount(u32 i) const { return counts.at(i); }
-    u32 numBuckets() const { return static_cast<u32>(counts.size()); }
-    double bucketWidth() const { return width; }
-    /** Value below which fraction @p q of samples fall (linear interp). */
-    double quantile(double q) const;
-    void reset();
-
-  private:
-    double width;
-    std::vector<u64> counts;
-    u64 n = 0;
-    u64 overflow = 0;
-};
-
 /** Geometric mean of strictly positive values; 0 for an empty vector. */
 double geomean(const std::vector<double> &values);
 

@@ -187,13 +187,16 @@ class HybridMemory
 
     /**
      * One 64 B access into a reserved NM metadata region (remap/tag
-     * tables) of @p regionBytes, spread via @p rotor so table traffic
+     * tables) of @p regionBytes, spread by a rotor so table traffic
      * exercises all NM channels/banks. Reads serialize onto @p tl;
-     * writes go through the posted-write buffer. Callers keep their
-     * own read/write counters.
+     * writes go through the posted-write buffer. Counted in
+     * nmMetaReads()/nmMetaWrites(), which each design reports under
+     * its own stat keys.
      */
-    void nmMetaRegionAccess(AccessType type, u64 regionBytes, u64 &rotor,
-                            Timeline &tl);
+    void nmMetaRegionAccess(AccessType type, u64 regionBytes, Timeline &tl);
+
+    u64 nmMetaReads() const { return nMetaReads; }
+    u64 nmMetaWrites() const { return nMetaWrites; }
 
     /** Reserved NM slice the baseline designs keep their remap/tag
      *  tables in: 16 MiB, capped at a quarter of NM. */
@@ -261,6 +264,9 @@ class HybridMemory
     std::unique_ptr<MemController> nmCtrl; ///< null for FM-only
     std::unique_ptr<MemController> fmCtrl;
 
+    u64 metaRotor = 0; ///< survives resetStats(), like the tables
+    u64 nMetaReads = 0;
+    u64 nMetaWrites = 0;
     u64 nRequests = 0;
     u64 nFromNm = 0;
     u64 nDemandReads = 0;

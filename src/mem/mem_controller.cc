@@ -16,12 +16,6 @@ MemController::MemController(dram::DramDevice &device,
     u32 n = dev.channelCount();
     writeQ.resize(n);
     inflight.resize(n);
-    readDepth.reserve(n);
-    writeDepth.reserve(n);
-    for (u32 c = 0; c < n; ++c) {
-        readDepth.emplace_back(cfg.depthHistBuckets, 1.0);
-        writeDepth.emplace_back(cfg.depthHistBuckets, 1.0);
-    }
 }
 
 size_t
@@ -104,9 +98,7 @@ MemController::sampleReadDepth(u32 ch, Tick now)
     v.erase(std::remove_if(v.begin(), v.end(),
                            [now](Tick t) { return t <= now; }),
             v.end());
-    double depth = double(v.size());
-    readDepth[ch].sample(depth);
-    readDepthDist.sample(depth);
+    readDepthDist.sample(double(v.size()));
 }
 
 Tick
@@ -153,9 +145,7 @@ MemController::post(Addr addr, u32 bytes, Tick readyAt)
     }
     dev.forEachChunk(addr, bytes, [&](Addr cur, u32 take, u32 ch, u64, u64) {
         auto &q = writeQ[ch];
-        double depth = double(q.size());
-        writeDepth[ch].sample(depth);
-        writeDepthDist.sample(depth);
+        writeDepthDist.sample(double(q.size()));
         q.push_back({cur, take, readyAt, nextSeq++});
         if (q.size() >= cfg.writeHighWatermark)
             forcedDrain(ch, readyAt);
@@ -197,18 +187,6 @@ MemController::queuedWrites() const
     return n;
 }
 
-const Histogram &
-MemController::writeDepthHist(u32 ch) const
-{
-    return writeDepth.at(ch);
-}
-
-const Histogram &
-MemController::readDepthHist(u32 ch) const
-{
-    return readDepth.at(ch);
-}
-
 void
 MemController::resetStats()
 {
@@ -219,10 +197,6 @@ MemController::resetStats()
     writeDelay.reset();
     readDepthDist.reset();
     writeDepthDist.reset();
-    for (auto &h : readDepth)
-        h.reset();
-    for (auto &h : writeDepth)
-        h.reset();
 }
 
 void

@@ -38,8 +38,8 @@
  *
  * Stats (all zero-guarded for empty classes): average read queue
  * delay (the serialized wait between arrival and service start that
- * demand requests experience), average write queue residency,
- * per-channel queue-depth histograms, drain episodes, and FR-FCFS
+ * demand requests experience), average write queue residency, read
+ * and write queue-depth distributions, drain episodes, and FR-FCFS
  * row-hit bypass counts.
  */
 
@@ -63,8 +63,6 @@ struct QueueParams
     u32 writeHighWatermark = 32;
     /** Depth a forced drain stops at. */
     u32 writeLowWatermark = 8;
-    /** Queue-depth histogram resolution (entries per bucket). */
-    u32 depthHistBuckets = 64;
 };
 
 class MemController
@@ -126,13 +124,6 @@ class MemController
      *  (at the write's ready tick), so uncontended writes record ~0;
      *  forced drains issue at the drain decision tick. */
     double avgWriteQueueDelayPs() const { return writeDelay.mean(); }
-
-    /** Write-queue depth-at-enqueue histogram of channel @p ch. */
-    const Histogram &writeDepthHist(u32 ch) const;
-    /** In-flight-requests-at-arrival histogram of channel @p ch (the
-     *  read-side "queue depth": dispatched chunks not yet complete
-     *  when a demand access arrives). */
-    const Histogram &readDepthHist(u32 ch) const;
 
     void resetStats();
 
@@ -202,8 +193,6 @@ class MemController
     Distribution writeDelay;
     Distribution readDepthDist;
     Distribution writeDepthDist;
-    std::vector<Histogram> readDepth;  ///< per channel, at arrival
-    std::vector<Histogram> writeDepth; ///< per channel, at enqueue
 };
 
 } // namespace h2::mem

@@ -88,28 +88,6 @@ TEST(Stats, DistributionBasics)
     EXPECT_EQ(d.count(), 0u);
 }
 
-TEST(Stats, HistogramBucketsAndQuantile)
-{
-    Histogram h(10, 1.0);
-    for (int i = 0; i < 100; ++i)
-        h.sample(i % 10 + 0.5);
-    EXPECT_EQ(h.count(), 100u);
-    for (u32 b = 0; b < 10; ++b)
-        EXPECT_EQ(h.bucketCount(b), 10u);
-    EXPECT_NEAR(h.quantile(0.5), 5.0, 1.0);
-    h.reset();
-    EXPECT_EQ(h.count(), 0u);
-}
-
-TEST(Stats, HistogramOverflowDoesNotCrash)
-{
-    Histogram h(4, 1.0);
-    h.sample(100.0);
-    h.sample(-5.0); // clamped to bucket 0
-    EXPECT_EQ(h.count(), 2u);
-    EXPECT_EQ(h.bucketCount(0), 1u);
-}
-
 TEST(Stats, Geomean)
 {
     EXPECT_DOUBLE_EQ(geomean({}), 0.0);
