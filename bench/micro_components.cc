@@ -48,15 +48,15 @@ BM_RemapLookup(benchmark::State &state)
 BENCHMARK(BM_RemapLookup);
 
 /**
- * A/B leg for the FlatMap64 pre-reserve fix: the RemapTable reserves
- * its override maps up-front from the design bound (cache + NM-flat
- * sectors), so lookup latency must stay flat as migration overrides
- * accumulate — no mid-run rehash, stable probe distances. Compare the
- * per-Arg timings: a growth-policy regression shows up as lookup cost
- * climbing with the fill level.
+ * Lookup cost by override population. The forward map starts at a
+ * capped 65,536-slot hint and doubles on demand, so its footprint (and
+ * the host cache misses a lookup pays) tracks the overrides a run
+ * creates: 2^10 and 2^14 fit the initial table, 2^18 makes it double
+ * three times. Compare the per-Arg timings; a growth-policy regression
+ * shows up as lookup cost climbing faster than the footprint.
  */
 void
-BM_RemapLookupPreReserved(benchmark::State &state)
+BM_RemapLookupByFill(benchmark::State &state)
 {
     core::RemapTable t(1 << 23, 1 << 19, 1 << 15, (1 << 23) - (1 << 19));
     Rng rng(2);
@@ -66,7 +66,7 @@ BM_RemapLookupPreReserved(benchmark::State &state)
     for (auto _ : state)
         benchmark::DoNotOptimize(t.lookup(rng.below(1 << 23)));
 }
-BENCHMARK(BM_RemapLookupPreReserved)
+BENCHMARK(BM_RemapLookupByFill)
     ->Arg(1 << 10)
     ->Arg(1 << 14)
     ->Arg(1 << 18);

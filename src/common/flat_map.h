@@ -2,20 +2,20 @@
  * @file
  * Open-addressed hash table from u64 keys to small values.
  *
- * The remap / inverted-remap tables sit on the per-access hot path and
- * were the last remaining users of std::unordered_map there. This table
- * replaces them: flat key and value lanes (struct-of-arrays, so the
- * probe walk streams over 8-byte keys only), power-of-two capacity,
- * SplitMix64 hashing with linear probing, no per-node allocation, and
- * no erase support (the remap tables only ever insert or overwrite).
+ * The forward remap table sits on the per-access hot path and was the
+ * last remaining user of std::unordered_map there. This table replaces
+ * it: flat key and value lanes (struct-of-arrays, so the probe walk
+ * streams over 8-byte keys only), power-of-two capacity, SplitMix64
+ * hashing with linear probing, no per-node allocation, and no erase
+ * support (the remap table only ever inserts or overwrites).
  *
  * The all-ones key is reserved as the empty-slot sentinel; callers index
  * sectors/locations, which are always far below 2^64 - 1.
  *
- * Capacity only affects probe paths, never results, so callers that
- * know their steady-state population (RemapTable does: it is bounded
- * by the NM sector count) can call reserveExact() up-front and never
- * pay a rehash mid-run.
+ * Capacity only affects probe paths, never results. The table starts
+ * from a capped sizing hint and doubles on demand, so its footprint
+ * tracks the population a run actually creates rather than the size of
+ * the key domain.
  */
 
 #pragma once
@@ -70,24 +70,6 @@ class FlatMap64
         valueLane[i] = std::move(value);
     }
 
-    /**
-     * Size the table for @p expectedEntries up-front, ignoring the
-     * sizing-hint cap: capacity becomes the smallest power of two
-     * keeping the load factor under 70%, so a population up to the
-     * bound never triggers a mid-run rehash. Never shrinks; existing
-     * entries are preserved.
-     */
-    void
-    reserveExact(u64 expectedEntries)
-    {
-        u64 want = expectedEntries + expectedEntries / 2 + 1;
-        u64 cap = 16;
-        while (cap < want)
-            cap <<= 1;
-        if (cap > keyLane.size())
-            growTo(cap);
-    }
-
     u64 size() const { return count; }
     u64 capacity() const { return keyLane.size(); }
 
@@ -98,9 +80,8 @@ class FlatMap64
     capacityFor(u64 expected)
     {
         // Headroom for a <=70% load factor, capped so sparse use of a
-        // huge domain (all-to-all remap tables) stays cheap; the table
-        // doubles on demand past the cap, and reserveExact() lifts the
-        // cap for callers with a known bound.
+        // huge domain (the all-to-all remap table) stays cheap; the
+        // table doubles on demand past the cap.
         u64 want = expected + expected / 2 + 1;
         want = std::min<u64>(want, u64(1) << 16);
         u64 cap = 16;

@@ -5,8 +5,10 @@
  * Hybrid2 keeps an all-to-all sector remap table (processor physical
  * sector -> current NM/FM location) plus an inverted table (NM location
  * -> resident processor sector) in a reserved slice of NM. This module
- * implements both *functionally* with sparse overrides over the initial
- * identity layout; the DCMC charges NM traffic for each logical access.
+ * implements both *functionally*, sized to what a run touches: the
+ * forward table keeps sparse overrides of the initial identity layout,
+ * and the inverted table is one dense lane with an entry per NM
+ * location. The DCMC charges NM traffic for each logical access.
  *
  * Initial layout: flat sectors [0, nmFlatSectors) live in the NM flat
  * region (NM locations [cacheSectors, nmLocs)); the remaining flat
@@ -17,6 +19,7 @@
 #pragma once
 
 #include <optional>
+#include <vector>
 
 #include "common/flat_map.h"
 #include "common/types.h"
@@ -35,7 +38,7 @@ struct Loc
     }
 };
 
-/** Combined remap + inverted remap tables with lazy identity defaults. */
+/** Combined remap + inverted remap tables over the identity layout. */
 class RemapTable
 {
   public:
@@ -69,18 +72,22 @@ class RemapTable
     u64 overrides() const { return remapOverride.size(); }
 
   private:
+    /** invLane entry of an NM location that holds no flat sector. */
+    static constexpr u64 kNoSector = ~u64(0);
+
     u64 nFlat;
     u64 nNmFlat;
     u64 nCache;
     u64 nFm;
-    /** Sparse overrides of the identity layout, keyed by flat sector /
-     *  NM location. Open-addressed flat tables (see common/flat_map.h)
-     *  sized to the NM sector count: migrations churn at NM scale, so
-     *  that is the steady-state override population. */
-    FlatMap64<Loc> remapOverride;
-    /** value = resident flat sector; nullopt stored explicitly so a
-     *  tombstone masks the identity default. */
-    FlatMap64<std::optional<u64>> invOverride;
+    /** Sparse overrides of the identity layout, keyed by flat sector,
+     *  value = Loc packed as idx << 1 | inNm. Left at FlatMap64's
+     *  capped starting size and grown on demand: a run overrides a
+     *  fraction of the NM sector count, so sizing the map to that
+     *  bound up-front would mostly zero slots that stay empty. */
+    FlatMap64<u64> remapOverride;
+    /** Resident flat sector of every NM location, or kNoSector;
+     *  initialised to the identity layout. */
+    std::vector<u64> invLane;
 };
 
 } // namespace h2::core

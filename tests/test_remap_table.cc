@@ -163,6 +163,61 @@ TEST(RemapTable, RandomizedAgainstReferenceModel)
     EXPECT_EQ(t.overrides(), remapRef.size());
 }
 
+TEST(RemapTable, PaperGeometryChurnMatchesReference)
+{
+    // Dcmc::computeLayout's default layout: 1 GiB NM, 16 GiB FM, 2 KiB
+    // sectors. The forward map starts at its capped 65,536-slot hint,
+    // so well over 100k distinct overrides force it through the growth
+    // path that the small randomized test above never reaches.
+    const u64 flat = 8861777, nmFlat = 473169, cache = 32768,
+              fm = 8388608;
+    RemapTable t(flat, nmFlat, cache, fm);
+    EXPECT_FALSE(t.invLookup(cache - 1).has_value());
+    EXPECT_EQ(t.invLookup(cache).value(), 0u);
+    EXPECT_EQ(t.invLookup(cache + nmFlat - 1).value(), nmFlat - 1);
+
+    std::unordered_map<u64, Loc> remapRef;
+    std::unordered_map<u64, std::optional<u64>> invRef;
+    auto expectedLoc = [&](u64 fs) {
+        auto it = remapRef.find(fs);
+        return it != remapRef.end() ? it->second
+            : fs < nmFlat ? Loc{true, cache + fs}
+                          : Loc{false, fs - nmFlat};
+    };
+    auto expectedInv = [&](u64 nmLoc) {
+        auto it = invRef.find(nmLoc);
+        return it != invRef.end() ? it->second
+            : nmLoc >= cache ? std::optional<u64>(nmLoc - cache)
+                             : std::nullopt;
+    };
+    Rng rng(2020);
+    for (int i = 0; i < 120000; ++i) {
+        u64 fs = rng.below(flat);
+        Loc loc = rng.chance(0.5) ? Loc{true, rng.below(cache + nmFlat)}
+                                  : Loc{false, rng.below(fm)};
+        t.update(fs, loc);
+        remapRef[fs] = loc;
+
+        u64 nmLoc = rng.below(cache + nmFlat);
+        std::optional<u64> occupant = rng.chance(0.3)
+            ? std::nullopt
+            : std::optional<u64>(rng.below(flat));
+        t.invUpdate(nmLoc, occupant);
+        invRef[nmLoc] = occupant;
+
+        u64 probe = rng.below(flat);
+        ASSERT_EQ(t.lookup(probe), expectedLoc(probe));
+        u64 nmProbe = rng.below(cache + nmFlat);
+        ASSERT_EQ(t.invLookup(nmProbe), expectedInv(nmProbe));
+    }
+    EXPECT_EQ(t.overrides(), remapRef.size());
+    EXPECT_GT(t.overrides(), u64(1) << 16);
+    for (const auto &[fs, loc] : remapRef)
+        ASSERT_EQ(t.lookup(fs), loc);
+    for (u64 nmLoc : {cache - 1, cache, cache + nmFlat - 1})
+        EXPECT_EQ(t.invLookup(nmLoc), expectedInv(nmLoc));
+}
+
 TEST(RemapTable, RoundTripSwap)
 {
     // Model a full swap: flat sector 0 (NM) <-> flat sector 100 (FM).
