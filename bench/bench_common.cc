@@ -30,7 +30,8 @@ BenchOptions::parse(int argc, char **argv)
         else if (key == "--instr")
             opts.instrPerCore = parseU64OrFatal("--instr", value);
         else if (key == "--jobs")
-            opts.jobs = static_cast<u32>(parseU64OrFatal("--jobs", value));
+            opts.jobs = static_cast<u32>(
+                parseU64OrFatal("--jobs", value, ~u32(0)));
         else if (key == "--out")
             opts.jsonOut = std::string(value);
         else if (key == "--workload") {

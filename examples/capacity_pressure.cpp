@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "common/units.h"
-#include "sim/runner.h"
+#include "sim/sweep_runner.h"
 
 int
 main(int argc, char **argv)
@@ -31,7 +31,7 @@ main(int argc, char **argv)
     sim::RunConfig cfg;
     cfg.nmBytes = 1 * GiB;
     cfg.instrPerCore = 200'000;
-    sim::Runner runner(cfg);
+    sim::SweepRunner runner(cfg);
 
     std::printf("workload footprint: %s; NM 1GiB, FM 16GiB\n\n",
                 formatBytes(wl.footprintBytes).c_str());

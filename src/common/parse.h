@@ -80,10 +80,11 @@ tryParseF64(std::string_view value, double &out)
     return true;
 }
 
-/** Parse @p value as a decimal u64; h2_fatal on garbage, naming
- *  @p what in the error. */
+/** Parse @p value as a decimal u64 no larger than @p max; h2_fatal on
+ *  garbage or out-of-range values, naming @p what in the error. */
 inline u64
-parseU64OrFatal(std::string_view what, std::string_view value)
+parseU64OrFatal(std::string_view what, std::string_view value,
+                u64 max = ~u64(0))
 {
     u64 v = 0;
     if (!tryParseU64(value, v)) {
@@ -98,6 +99,9 @@ parseU64OrFatal(std::string_view what, std::string_view value)
         h2_fatal("bad value for ", what, ": '", value,
                  "' (expected a decimal integer)");
     }
+    if (v > max)
+        h2_fatal("bad value for ", what, ": '", value,
+                 "' (out of range; at most ", max, ")");
     return v;
 }
 

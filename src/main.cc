@@ -9,10 +9,13 @@
  *   h2sim --dump-trace <file> --workload <spec> [options]
  *   h2sim --list-workloads | --list-designs | --help
  *
- * The design-spec grammar shown by --help and --list-designs is
- * generated from the design registry (sim/design_registry.h), so it
- * can never drift from what the parser accepts. Results render as
- * text, JSON or CSV (--format) to stdout or a file (--out).
+ * Each run-setting flag --<name> is the experiment-file directive of
+ * the same name, applied through the one settings table in
+ * sim/experiment.h; its --help rows come from that table. The
+ * design-spec grammar shown by --help and --list-designs is generated
+ * from the design registry (sim/design_registry.h), so neither can
+ * drift from what the parsers accept. Results render as text, JSON or
+ * CSV (--format) to stdout or a file (--out).
  *
  * Sweeps are fault tolerant: a failing point (bad spec deep in a
  * grid, unreadable trace, injected fault, watchdog timeout) is
@@ -38,7 +41,6 @@
 #include <vector>
 
 #include "common/log.h"
-#include "common/parse.h"
 #include "sim/design_registry.h"
 #include "sim/experiment.h"
 #include "sim/fault_plan.h"
@@ -59,41 +61,23 @@ void printUsage(std::FILE *out)
         "       h2sim --experiment <file> [options]\n"
         "       h2sim --dump-trace <file> --workload <spec> [options]\n"
         "\n"
+        "Run settings (each flag is the experiment-file directive of the\n"
+        "same name):\n",
+        out);
+    std::fputs(h2::sim::runSettingsHelp().c_str(), out);
+    std::fprintf(
+        out,
+        "\n"
         "Options:\n"
-        "  --design <spec>      design spec (repeatable); see grammar below\n"
-        "  --workload <spec>    workload spec (repeatable): a Table 2 name\n"
-        "                       (--list-workloads), trace:<path>, or\n"
-        "                       mix:<a>+<b>[+...][:<n>]\n"
         "  --experiment <file>  run a declarative sweep (designs x\n"
-        "                       workloads x config) from a file; mutually\n"
-        "                       exclusive with --design/--workload\n"
+        "                       workloads x settings) from a file; of the\n"
+        "                       run settings only %s\n"
+        "                       may be given too, and win over the file\n"
         "  --dump-trace <file>  capture the --workload to a trace file\n"
         "                       (no simulation): text format for .txt/.text\n"
         "                       paths, compact binary otherwise; replay\n"
         "                       with --workload trace:<file>\n"
-        "  --format <f>         output format: text|json|csv [text]\n"
         "  --out <path>         write results to <path> instead of stdout\n"
-        "  --nm-mib <n>         near-memory (HBM) capacity in MiB [1024]\n"
-        "  --fm-mib <n>         far-memory (DDR) capacity in MiB [16384]\n"
-        "  --cores <n>          number of cores [8]\n"
-        "  --instr <n>          simulated instructions per core [1500000]\n"
-        "  --warmup <n>         warmup instructions per core [0]\n"
-        "  --seed <n>           trace-generation seed [42]\n"
-        "  --queue <on|off>     queued memory-controller model (FR-FCFS\n"
-        "                       write queues with drain watermarks); off\n"
-        "                       restores the analytic immediate-dispatch\n"
-        "                       model [on]\n"
-        "  --fm <dram|pcm>      far-memory technology: DDR4 DRAM, or a\n"
-        "                       PCM-like NVM with asymmetric read/write\n"
-        "                       latency and energy plus per-bank wear\n"
-        "                       stats [dram]\n"
-        "  --jobs <n>           parallel simulations; 0 = all cores [1]\n"
-        "  --speedup            also report speedup over the FM-only\n"
-        "                       baseline\n"
-        "  --run-timeout <ms>   per-run wall-clock watchdog; a run past\n"
-        "                       the deadline fails its sweep point [0=off]\n"
-        "  --retries <n>        re-run a failed sweep point up to <n>\n"
-        "                       times [0]\n"
         "  --journal <path>     append each completed sweep point to\n"
         "                       <path> (JSONL, fsync'd per record) so a\n"
         "                       crash loses at most the points in flight\n"
@@ -109,7 +93,7 @@ void printUsage(std::FILE *out)
         "  -h, --help           show this help and exit\n"
         "\n"
         "Design spec grammar (generated from the design registry):\n",
-        out);
+        h2::sim::runSettingFlags(h2::sim::SettingRole::Override).c_str());
     std::fputs(h2::sim::DesignRegistry::instance().grammarHelp().c_str(),
                out);
     std::fputs("\n", out);
@@ -122,15 +106,6 @@ usageError(const std::string &msg)
     std::fprintf(stderr, "h2sim: %s\n", msg.c_str());
     std::fprintf(stderr, "h2sim: try 'h2sim --help'\n");
     std::exit(2);
-}
-
-h2::u64 parseU64(const char *flag, const char *value)
-{
-    h2::u64 v = 0;
-    if (!h2::tryParseU64(value, v))
-        usageError(std::string(flag) + " expects a non-negative integer, "
-                   "got '" + value + "'");
-    return v;
 }
 
 void
@@ -151,23 +126,32 @@ int main(int argc, char **argv)
 {
     using namespace h2;
 
+    // Run settings given as flags, applied as they are read; kept too
+    // so --experiment can vet them and re-apply its overrides.
     sim::ExperimentSpec experiment;
+    std::vector<std::pair<const sim::RunSetting *, const char *>> given;
     std::string experimentFile;
     std::string dumpTracePath;
-    std::string formatName;
     std::string outPath;
-    bool jobsSet = false;
-    bool configFlagSeen = false;
-    u32 jobs = 1;
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        auto next = [&](const char *flag) -> const char * {
+        auto next = [&](const std::string &flag) -> const char * {
             if (i + 1 >= argc)
-                usageError(std::string(flag) + " requires a value");
+                usageError(flag + " requires a value");
             return argv[++i];
         };
-        if (arg == "-h" || arg == "--help") {
+        const sim::RunSetting *setting =
+            arg.starts_with("--") ? sim::findRunSetting(arg.substr(2))
+                                  : nullptr;
+        if (setting) {
+            // A bare flag is its directive set to on.
+            const char *value = setting->placeholder ? next(arg) : "on";
+            if (std::string err = setting->apply(experiment, value);
+                !err.empty())
+                usageError(err);
+            given.emplace_back(setting, value);
+        } else if (arg == "-h" || arg == "--help") {
             printUsage(stdout);
             return 0;
         } else if (arg == "--list-workloads") {
@@ -181,83 +165,18 @@ int main(int argc, char **argv)
         } else if (arg == "--list-designs") {
             listDesigns();
             return 0;
-        } else if (arg == "--design") {
-            const char *spec = next("--design");
-            sim::DesignSpec::ParseResult r = sim::DesignSpec::parse(spec);
-            if (!r.ok())
-                usageError(r.error);
-            experiment.designs.push_back(r.spec->toString());
-        } else if (arg == "--workload") {
-            experiment.workloads.emplace_back(next("--workload"));
         } else if (arg == "--experiment") {
-            experimentFile = next("--experiment");
+            experimentFile = next(arg);
         } else if (arg == "--dump-trace") {
-            dumpTracePath = next("--dump-trace");
-        } else if (arg == "--format") {
-            formatName = next("--format");
-            if (!sim::parseOutputFormat(formatName))
-                usageError("--format expects text|json|csv, got '" +
-                           formatName + "'");
+            dumpTracePath = next(arg);
         } else if (arg == "--out") {
-            outPath = next("--out");
-        } else if (arg == "--nm-mib") {
-            experiment.config.nmBytes =
-                parseU64("--nm-mib", next("--nm-mib")) << 20;
-            configFlagSeen = true;
-        } else if (arg == "--fm-mib") {
-            experiment.config.fmBytes =
-                parseU64("--fm-mib", next("--fm-mib")) << 20;
-            configFlagSeen = true;
-        } else if (arg == "--cores") {
-            experiment.config.numCores =
-                static_cast<u32>(parseU64("--cores", next("--cores")));
-            configFlagSeen = true;
-        } else if (arg == "--instr") {
-            experiment.config.instrPerCore =
-                parseU64("--instr", next("--instr"));
-            configFlagSeen = true;
-        } else if (arg == "--warmup") {
-            experiment.config.warmupInstrPerCore =
-                parseU64("--warmup", next("--warmup"));
-            configFlagSeen = true;
-        } else if (arg == "--seed") {
-            experiment.config.seed = parseU64("--seed", next("--seed"));
-            configFlagSeen = true;
-        } else if (arg == "--queue") {
-            std::string v = next("--queue");
-            if (v == "on")
-                experiment.config.queue = true;
-            else if (v == "off")
-                experiment.config.queue = false;
-            else
-                usageError("--queue expects on|off, got '" + v + "'");
-            configFlagSeen = true;
-        } else if (arg == "--fm") {
-            std::string v = next("--fm");
-            auto tech = h2::dram::parseFarMemTech(v);
-            if (!tech)
-                usageError("--fm expects dram|pcm, got '" + v + "'");
-            experiment.config.fm = *tech;
-            configFlagSeen = true;
-        } else if (arg == "--jobs") {
-            jobs = static_cast<u32>(parseU64("--jobs", next("--jobs")));
-            jobsSet = true;
-        } else if (arg == "--speedup") {
-            experiment.speedup = true;
-        } else if (arg == "--run-timeout") {
-            experiment.config.runTimeoutMs =
-                parseU64("--run-timeout", next("--run-timeout"));
-            configFlagSeen = true;
-        } else if (arg == "--retries") {
-            experiment.config.retries = static_cast<u32>(
-                parseU64("--retries", next("--retries")));
-            configFlagSeen = true;
+            outPath = next(arg);
         } else if (arg == "--journal") {
-            experiment.journalPath = next("--journal");
+            experiment.journalPath = next(arg);
         } else if (arg == "--resume") {
             experiment.resume = true;
         } else if (arg == "--inject") {
-            const char *plan = next("--inject");
+            const char *plan = next(arg);
             std::string err;
             auto parsed = sim::FaultPlan::parse(plan, &err);
             if (!parsed)
@@ -280,23 +199,14 @@ int main(int argc, char **argv)
                        "simulation; drop --design");
         if (experiment.workloads.size() != 1)
             usageError("--dump-trace needs exactly one --workload");
-        if (std::string cfgErr = sim::validateRunConfig(experiment.config);
-            !cfgErr.empty())
-            usageError("invalid run config: " + cfgErr);
-        std::string err;
-        auto w = workloads::resolveWorkload(experiment.workloads[0], &err);
-        if (!w)
+        if (std::string err = experiment.check(/*needDesign=*/false);
+            !err.empty())
             usageError(err);
-        if (w->trace && w->traceStreams != experiment.config.numCores)
-            usageError("trace '" + experiment.workloads[0] +
-                       "' was captured with " +
-                       std::to_string(w->traceStreams) +
-                       " streams; re-capture it with --cores " +
-                       std::to_string(w->traceStreams));
         // Capture exactly what a System run would consume: one stream
         // per core, warmup + measured instructions each.
         workloads::TraceData data = workloads::captureTrace(
-            *w, experiment.config.numCores, experiment.config.seed,
+            experiment.workloads[0], experiment.config.numCores,
+            experiment.config.seed,
             experiment.config.warmupInstrPerCore +
                 experiment.config.instrPerCore);
         workloads::TraceFormat traceFormat =
@@ -313,75 +223,37 @@ int main(int argc, char **argv)
     }
 
     if (!experimentFile.empty()) {
-        if (!experiment.designs.empty() || !experiment.workloads.empty())
-            usageError("--experiment is mutually exclusive with "
-                       "--design/--workload");
-        if (configFlagSeen)
-            usageError("--experiment is mutually exclusive with the "
-                       "config flags (--nm-mib, --fm-mib, --cores, "
-                       "--instr, --warmup, --seed, --queue, --fm, "
-                       "--run-timeout, --retries); set them in the "
-                       "experiment file instead");
-        // CLI-only fields survive the file load (the file cannot set
-        // them).
-        bool wantSpeedup = experiment.speedup;
-        std::string journalPath = std::move(experiment.journalPath);
-        bool resume = experiment.resume;
-        sim::FaultPlan faults = std::move(experiment.faults);
+        for (const auto &[setting, value] : given)
+            if (setting->role != sim::SettingRole::Override)
+                usageError(
+                    std::string("--experiment is mutually exclusive with "
+                                "--") +
+                    setting->name + "; set it in the experiment file "
+                    "(only " +
+                    sim::runSettingFlags(sim::SettingRole::Override) +
+                    " may join --experiment)");
         std::string err;
         auto fromFile = sim::ExperimentSpec::parseFile(experimentFile, &err);
         if (!fromFile)
             usageError(err);
+        // The override settings win over the file; the CLI-only fields
+        // survive the file load.
+        for (const auto &[setting, value] : given)
+            setting->apply(*fromFile, value);
+        fromFile->journalPath = std::move(experiment.journalPath);
+        fromFile->resume = experiment.resume;
+        fromFile->faults = std::move(experiment.faults);
         experiment = *std::move(fromFile);
-        experiment.speedup = experiment.speedup || wantSpeedup;
-        experiment.journalPath = std::move(journalPath);
-        experiment.resume = resume;
-        experiment.faults = std::move(faults);
-    } else {
-        if (experiment.designs.empty() || experiment.workloads.empty())
-            usageError("need at least one --design and one --workload "
-                       "(or --experiment <file>)");
-        for (const auto &spec : experiment.workloads) {
-            std::string err;
-            auto w = workloads::resolveWorkload(spec, &err);
-            if (!w)
-                usageError(err);
-            if (w->trace && w->traceStreams != experiment.config.numCores)
-                usageError("trace '" + spec + "' was captured with " +
-                           std::to_string(w->traceStreams) +
-                           " streams; run it with --cores " +
-                           std::to_string(w->traceStreams));
-            // Keep the resolved form: trace files load exactly once.
-            experiment.resolvedWorkloads.push_back(*std::move(w));
-        }
-        if (std::string cfgErr = sim::validateRunConfig(experiment.config);
-            !cfgErr.empty())
-            usageError("invalid run config: " + cfgErr);
+    } else if (std::string err = experiment.check(); !err.empty()) {
+        usageError(err);
     }
 
-    // CLI --format wins over the file's `format` directive; both
-    // default to text.
-    sim::OutputFormat format = sim::OutputFormat::Text;
-    if (!formatName.empty())
-        format = *sim::parseOutputFormat(formatName);
-    else if (!experiment.format.empty())
-        format = *sim::parseOutputFormat(experiment.format);
-
-    // CLI --jobs (including 0 = all cores) wins over the file's jobs.
-    if (jobsSet)
-        experiment.jobs = jobs;
+    sim::OutputFormat format =
+        experiment.format.empty() ? sim::OutputFormat::Text
+                                  : *sim::parseOutputFormat(experiment.format);
 
     if (experiment.resume && experiment.journalPath.empty())
         usageError("--resume needs --journal <path>");
-    if (!experiment.journalPath.empty()) {
-        // Fail before the sweep, not after hours of simulation.
-        std::FILE *probe =
-            std::fopen(experiment.journalPath.c_str(), "ab");
-        if (!probe)
-            usageError("cannot open journal '" + experiment.journalPath +
-                       "' for appending");
-        std::fclose(probe);
-    }
 
     // Ctrl-C cancels in-flight runs cooperatively: completed points
     // are already journaled, and the partial report still renders.
@@ -390,8 +262,9 @@ int main(int argc, char **argv)
     bool anyFailed = false;
     bool interrupted = false;
     try {
-        // Config/setup fatals inside the sweep machinery (corrupt
-        // journal, invalid run config) surface as FatalError here and
+        // Config/setup fatals inside the sweep machinery (unopenable,
+        // corrupt or differently-stamped journal, invalid run config)
+        // surface as FatalError here, before any point simulates, and
         // report as usage/configuration errors, like at parse time.
         ScopedFatalCapture capture;
         std::vector<sim::RunRecord> records =

@@ -1,13 +1,17 @@
 #include "sim/experiment.h"
 
+#include <algorithm>
 #include <cctype>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <sstream>
 
+#include "common/json.h"
 #include "common/log.h"
 #include "common/parse.h"
 #include "common/units.h"
+#include "sim/report.h"
 #include "sim/result_journal.h"
 #include "sim/sweep_runner.h"
 #include "workloads/workload_registry.h"
@@ -59,7 +63,222 @@ parseBool(std::string_view value)
     return std::nullopt;
 }
 
+/** Largest MiB count whose byte count still fits in a u64. */
+constexpr u64 kMaxMib = (u64(1) << 44) - 1;
+
+/** Store decimal @p value, at most @p max, in @p out. */
+template <typename T>
+std::string
+parseCount(std::string_view name, std::string_view value, T &out,
+           u64 max = std::numeric_limits<T>::max())
+{
+    u64 v = 0;
+    if (!tryParseU64(value, v))
+        return detail::concat("bad value for ", name, ": '", value,
+                              "' (expected a decimal integer)");
+    if (v > max)
+        return detail::concat("bad value for ", name, ": '", value,
+                              "' (out of range; at most ", max, ")");
+    out = static_cast<T>(v);
+    return {};
+}
+
+/** Store a capacity given in MiB as @p bytes. */
+std::string
+parseMib(std::string_view name, std::string_view value, u64 &bytes)
+{
+    u64 mib = 0;
+    std::string err = parseCount(name, value, mib, kMaxMib);
+    if (err.empty())
+        bytes = mib * MiB;
+    return err;
+}
+
+std::string
+parseSwitch(std::string_view name, std::string_view value, bool &out)
+{
+    auto b = parseBool(value);
+    if (!b)
+        return detail::concat("bad value for ", name, ": '", value,
+                              "' (expected on|off)");
+    out = *b;
+    return {};
+}
+
+/** @p bytes in MiB, exactly: a sub-MiB capacity renders a fraction. */
+std::string
+mibText(u64 bytes)
+{
+    return JsonWriter::formatDouble(double(bytes) / double(MiB));
+}
+
+// The one definition of every run setting. ExperimentSpec::parse
+// applies an entry per file line, h2sim one per --<name> flag; the
+// --help rows, the --experiment exclusion list and the journal stamp
+// are generated from here.
+const RunSetting kSettings[] = {
+    {"design", "<spec>", "design spec (repeatable); see grammar below",
+     SettingRole::FileOnly,
+     [](ExperimentSpec &s, std::string_view v) -> std::string {
+         DesignSpec::ParseResult r = DesignSpec::parse(v);
+         if (!r.ok())
+             return r.error;
+         s.designs.push_back(r.spec->toString());
+         return {};
+     },
+     nullptr},
+    {"workload", "<spec>", "workload spec (repeatable); see grammar below",
+     SettingRole::FileOnly,
+     [](ExperimentSpec &s, std::string_view v) -> std::string {
+         // Full spec grammar: registry names, trace:<path> (opened and
+         // validated now; the path is relative to the working
+         // directory), and mix:<a>+<b>[:<n>]. The resolved form is
+         // kept so the run never re-reads trace files.
+         std::string err;
+         auto w = workloads::resolveWorkload(std::string(v), &err);
+         if (!w)
+             return err;
+         s.workloads.push_back(*std::move(w));
+         return {};
+     },
+     nullptr},
+    {"nm-mib", "<n>", "near-memory (HBM) capacity in MiB [1024]",
+     SettingRole::FileOnly,
+     [](ExperimentSpec &s, std::string_view v) {
+         return parseMib("nm-mib", v, s.config.nmBytes);
+     },
+     [](const RunConfig &c) { return mibText(c.nmBytes); }},
+    {"fm-mib", "<n>", "far-memory (DDR) capacity in MiB [16384]",
+     SettingRole::FileOnly,
+     [](ExperimentSpec &s, std::string_view v) {
+         return parseMib("fm-mib", v, s.config.fmBytes);
+     },
+     [](const RunConfig &c) { return mibText(c.fmBytes); }},
+    {"cores", "<n>", "number of cores [8]", SettingRole::FileOnly,
+     [](ExperimentSpec &s, std::string_view v) {
+         return parseCount("cores", v, s.config.numCores);
+     },
+     [](const RunConfig &c) { return std::to_string(c.numCores); }},
+    {"instr", "<n>", "simulated instructions per core [1500000]",
+     SettingRole::FileOnly,
+     [](ExperimentSpec &s, std::string_view v) {
+         return parseCount("instr", v, s.config.instrPerCore);
+     },
+     [](const RunConfig &c) { return std::to_string(c.instrPerCore); }},
+    {"warmup", "<n>", "warmup instructions per core [0]",
+     SettingRole::FileOnly,
+     [](ExperimentSpec &s, std::string_view v) {
+         return parseCount("warmup", v, s.config.warmupInstrPerCore);
+     },
+     [](const RunConfig &c) {
+         return std::to_string(c.warmupInstrPerCore);
+     }},
+    {"seed", "<n>", "trace-generation seed [42]", SettingRole::FileOnly,
+     [](ExperimentSpec &s, std::string_view v) {
+         return parseCount("seed", v, s.config.seed);
+     },
+     [](const RunConfig &c) { return std::to_string(c.seed); }},
+    {"queue", "<on|off>",
+     "queued FR-FCFS controller; off = analytic dispatch [on]",
+     SettingRole::FileOnly,
+     [](ExperimentSpec &s, std::string_view v) {
+         return parseSwitch("queue", v, s.config.queue);
+     },
+     [](const RunConfig &c) { return std::string(c.queue ? "on" : "off"); }},
+    {"fm", "<dram|pcm>",
+     "far-memory technology: DDR4 DRAM or PCM-like NVM [dram]",
+     SettingRole::FileOnly,
+     [](ExperimentSpec &s, std::string_view v) -> std::string {
+         auto tech = dram::parseFarMemTech(v);
+         if (!tech)
+             return detail::concat("bad value for fm: '", v,
+                                   "' (expected dram|pcm)");
+         s.config.fm = *tech;
+         return {};
+     },
+     [](const RunConfig &c) { return std::string(dram::to_string(c.fm)); }},
+    {"jobs", "<n>", "parallel simulations; 0 = all cores [1]",
+     SettingRole::Override,
+     [](ExperimentSpec &s, std::string_view v) {
+         return parseCount("jobs", v, s.jobs);
+     },
+     nullptr},
+    {"speedup", nullptr, "also report speedup over the FM-only baseline",
+     SettingRole::Override,
+     [](ExperimentSpec &s, std::string_view v) {
+         return parseSwitch("speedup", v, s.speedup);
+     },
+     nullptr},
+    {"format", "<f>", "output format: text|json|csv [text]",
+     SettingRole::Override,
+     [](ExperimentSpec &s, std::string_view v) -> std::string {
+         if (!parseOutputFormat(v))
+             return detail::concat("bad value for format: '", v,
+                                   "' (expected text|json|csv)");
+         s.format = std::string(v);
+         return {};
+     },
+     nullptr},
+    {"run-timeout", "<ms>",
+     "per-run wall-clock watchdog; a late run fails [0=off]",
+     SettingRole::FileOnly,
+     [](ExperimentSpec &s, std::string_view v) {
+         return parseCount("run-timeout", v, s.config.runTimeoutMs);
+     },
+     nullptr},
+    {"retries", "<n>", "re-run a failed sweep point up to <n> times [0]",
+     SettingRole::FileOnly,
+     [](ExperimentSpec &s, std::string_view v) {
+         return parseCount("retries", v, s.config.retries);
+     },
+     nullptr},
+};
+
 } // namespace
+
+const RunSetting *
+findRunSetting(std::string_view name)
+{
+    for (const RunSetting &s : kSettings)
+        if (name == s.name)
+            return &s;
+    return nullptr;
+}
+
+std::string
+runSettingsHelp()
+{
+    std::string out;
+    for (const RunSetting &s : kSettings) {
+        std::string flag = detail::concat("--", s.name);
+        if (s.placeholder)
+            flag += detail::concat(" ", s.placeholder);
+        flag.resize(std::max<size_t>(flag.size(), 19), ' ');
+        out += detail::concat("  ", flag, "  ", s.help, "\n");
+    }
+    return out;
+}
+
+std::string
+runSettingFlags(SettingRole role)
+{
+    std::string out;
+    for (const RunSetting &s : kSettings)
+        if (s.role == role)
+            out += detail::concat(out.empty() ? "--" : ", --", s.name);
+    return out;
+}
+
+std::string
+simulatedSettings(const RunConfig &config)
+{
+    std::string out;
+    for (const RunSetting &s : kSettings)
+        if (s.render)
+            out += detail::concat(out.empty() ? "" : " ", s.name, "=",
+                                  s.render(config));
+    return out;
+}
 
 std::optional<ExperimentSpec>
 ExperimentSpec::parse(std::string_view text, std::string *error)
@@ -81,137 +300,38 @@ ExperimentSpec::parse(std::string_view text, std::string *error)
         if (line.empty())
             continue;
         auto [key, value] = directive(line);
-
-        if (key == "design") {
-            DesignSpec::ParseResult r = DesignSpec::parse(value);
-            if (!r.ok())
-                return fail(lineNo, r.error);
-            spec.designs.push_back(r.spec->toString());
-        } else if (key == "workload") {
-            // Full spec grammar: registry names, trace:<path> (opened
-            // and validated now; the path is relative to the working
-            // directory), and mix:<a>+<b>[:<n>]. The resolved form is
-            // kept so the run never re-reads trace files.
-            std::string err;
-            auto w = workloads::resolveWorkload(std::string(value), &err);
-            if (!w)
-                return fail(lineNo, err);
-            spec.workloads.emplace_back(value);
-            spec.resolvedWorkloads.push_back(*std::move(w));
-        } else if (key == "nm-mib") {
-            u64 v = 0;
-            if (!tryParseU64(value, v))
-                return fail(lineNo, detail::concat(
-                                        "bad value for nm-mib: '", value,
-                                        "' (expected a decimal integer)"));
-            spec.config.nmBytes = v * MiB;
-        } else if (key == "fm-mib") {
-            u64 v = 0;
-            if (!tryParseU64(value, v))
-                return fail(lineNo, detail::concat(
-                                        "bad value for fm-mib: '", value,
-                                        "' (expected a decimal integer)"));
-            spec.config.fmBytes = v * MiB;
-        } else if (key == "instr") {
-            if (!tryParseU64(value, spec.config.instrPerCore))
-                return fail(lineNo, detail::concat(
-                                        "bad value for instr: '", value,
-                                        "' (expected a decimal integer)"));
-        } else if (key == "warmup") {
-            if (!tryParseU64(value, spec.config.warmupInstrPerCore))
-                return fail(lineNo, detail::concat(
-                                        "bad value for warmup: '", value,
-                                        "' (expected a decimal integer)"));
-        } else if (key == "cores") {
-            u64 v = 0;
-            if (!tryParseU64(value, v) || v > ~u32(0))
-                return fail(lineNo, detail::concat(
-                                        "bad value for cores: '", value,
-                                        "'"));
-            spec.config.numCores = static_cast<u32>(v);
-        } else if (key == "seed") {
-            if (!tryParseU64(value, spec.config.seed))
-                return fail(lineNo, detail::concat(
-                                        "bad value for seed: '", value,
-                                        "' (expected a decimal integer)"));
-        } else if (key == "queue") {
-            auto b = parseBool(value);
-            if (!b)
-                return fail(lineNo,
-                            detail::concat("bad value for queue: '",
-                                           value, "' (expected on|off)"));
-            spec.config.queue = *b;
-        } else if (key == "fm") {
-            auto tech = dram::parseFarMemTech(value);
-            if (!tech)
-                return fail(lineNo,
-                            detail::concat("bad value for fm: '", value,
-                                           "' (expected dram|pcm)"));
-            spec.config.fm = *tech;
-        } else if (key == "jobs") {
-            u64 v = 0;
-            if (!tryParseU64(value, v) || v > ~u32(0))
-                return fail(lineNo, detail::concat(
-                                        "bad value for jobs: '", value,
-                                        "'"));
-            spec.jobs = static_cast<u32>(v);
-        } else if (key == "speedup") {
-            auto b = parseBool(value);
-            if (!b)
-                return fail(lineNo,
-                            detail::concat("bad value for speedup: '",
-                                           value, "' (expected on|off)"));
-            spec.speedup = *b;
-        } else if (key == "run-timeout" || key == "run_timeout") {
-            if (!tryParseU64(value, spec.config.runTimeoutMs))
-                return fail(lineNo,
-                            detail::concat("bad value for run-timeout: '",
-                                           value,
-                                           "' (expected milliseconds)"));
-        } else if (key == "retries") {
-            u64 v = 0;
-            if (!tryParseU64(value, v) || v > ~u32(0))
-                return fail(lineNo, detail::concat(
-                                        "bad value for retries: '", value,
-                                        "'"));
-            spec.config.retries = static_cast<u32>(v);
-        } else if (key == "format") {
-            if (value != "text" && value != "json" && value != "csv")
-                return fail(lineNo,
-                            detail::concat("bad value for format: '",
-                                           value,
-                                           "' (expected text|json|csv)"));
-            spec.format = std::string(value);
-        } else {
+        // Files keep accepting the older run_timeout spelling.
+        const RunSetting *setting =
+            findRunSetting(key == "run_timeout" ? "run-timeout" : key);
+        if (!setting)
             return fail(lineNo,
                         detail::concat("unknown directive '", key, "'"));
-        }
+        if (std::string err = setting->apply(spec, value); !err.empty())
+            return fail(lineNo, err);
     }
-
-    if (spec.designs.empty())
-        return fail(lineNo, "no 'design' directive");
-    if (spec.workloads.empty())
-        return fail(lineNo, "no 'workload' directive");
-    // Directives arrive in any order, so trace stream counts can only
-    // be checked against `cores` once the whole file is read.
-    for (size_t i = 0; i < spec.resolvedWorkloads.size(); ++i) {
-        const workloads::Workload &w = spec.resolvedWorkloads[i];
-        if (w.trace && w.traceStreams != spec.config.numCores) {
-            if (error)
-                *error = detail::concat(
-                    "experiment file: trace '", spec.workloads[i],
-                    "' was captured with ", w.traceStreams,
-                    " streams; set 'cores ", w.traceStreams, "'");
-            return std::nullopt;
-        }
-    }
-    if (std::string err = validateRunConfig(spec.config); !err.empty()) {
+    if (std::string err = spec.check(); !err.empty()) {
         if (error)
-            *error = detail::concat("experiment file: invalid run config: ",
-                                    err);
+            *error = "experiment file: " + err;
         return std::nullopt;
     }
     return spec;
+}
+
+std::string
+ExperimentSpec::check(bool needDesign) const
+{
+    if (needDesign && designs.empty())
+        return "no 'design' directive or --design flag";
+    if (workloads.empty())
+        return "no 'workload' directive or --workload flag";
+    // Settings arrive in any order, so trace stream counts can only be
+    // checked against `cores` once all of them are applied.
+    for (const workloads::Workload &w : workloads)
+        if (std::string err = w.coreMismatch(config.numCores); !err.empty())
+            return err;
+    if (std::string err = validateRunConfig(config); !err.empty())
+        return "invalid run config: " + err;
+    return {};
 }
 
 std::optional<ExperimentSpec>
@@ -230,20 +350,21 @@ ExperimentSpec::parseFile(const std::string &path, std::string *error)
 }
 
 std::vector<RunRecord>
-runExperiment(const ExperimentSpec &spec, u32 jobsOverride)
+runExperiment(const ExperimentSpec &spec)
 {
-    u32 jobs = jobsOverride ? jobsOverride : spec.jobs;
     // Declared before the runner: workers may append right up to the
     // runner's drain, so the journal must be destroyed after it.
     std::unique_ptr<ResultJournal> journal;
-    SweepRunner runner(spec.config, jobs);
+    SweepRunner runner(spec.config, spec.jobs);
 
     if (!spec.faults.empty())
         runner.setFaultPlan(&spec.faults);
     if (!spec.journalPath.empty()) {
+        std::string settings = simulatedSettings(spec.config);
         if (spec.resume) {
             std::string err;
-            auto recorded = ResultJournal::load(spec.journalPath, &err);
+            auto recorded =
+                ResultJournal::load(spec.journalPath, settings, &err);
             if (!recorded)
                 h2_fatal(err);
             for (const auto &[k, outcome] : *recorded)
@@ -254,21 +375,12 @@ runExperiment(const ExperimentSpec &spec, u32 jobsOverride)
                           " journaled point(s) skipped");
         }
         journal =
-            std::make_unique<ResultJournal>(spec.journalPath);
+            std::make_unique<ResultJournal>(spec.journalPath, settings);
         runner.setJournal(journal.get());
     }
 
-    std::vector<workloads::Workload> suite;
-    if (spec.resolvedWorkloads.size() == spec.workloads.size()) {
-        suite = spec.resolvedWorkloads;
-    } else {
-        suite.reserve(spec.workloads.size());
-        for (const auto &wlSpec : spec.workloads)
-            suite.push_back(workloads::resolveWorkloadOrFatal(wlSpec));
-    }
-
     // Submit everything up front so --jobs overlaps the simulations.
-    for (const workloads::Workload &w : suite) {
+    for (const workloads::Workload &w : spec.workloads) {
         if (spec.speedup)
             runner.submit(w, "baseline");
         for (const auto &design : spec.designs)
@@ -276,8 +388,8 @@ runExperiment(const ExperimentSpec &spec, u32 jobsOverride)
     }
 
     std::vector<RunRecord> records;
-    records.reserve(suite.size() * spec.designs.size());
-    for (const workloads::Workload &w : suite) {
+    records.reserve(spec.workloads.size() * spec.designs.size());
+    for (const workloads::Workload &w : spec.workloads) {
         for (const auto &design : spec.designs) {
             RunRecord rec;
             rec.workload = w.name;

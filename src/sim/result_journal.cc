@@ -1,5 +1,6 @@
 #include "sim/result_journal.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <fstream>
@@ -11,11 +12,32 @@
 
 #include "common/json.h"
 #include "common/log.h"
+#include "common/parse.h"
 
 namespace h2::sim {
 
-ResultJournal::ResultJournal(const std::string &path)
-    : journalPath(path)
+namespace {
+
+/** "instr=2000 there, instr=8000 in this run": the first setting of
+ *  the space-separated "name=value" lists that differs. */
+std::string
+firstDifference(std::string_view recorded, std::string_view current)
+{
+    std::vector<std::string_view> a = splitOn(recorded, ' ');
+    std::vector<std::string_view> b = splitOn(current, ' ');
+    for (size_t i = 0; i < std::max(a.size(), b.size()); ++i) {
+        std::string_view was = i < a.size() ? a[i] : "(none)";
+        std::string_view now = i < b.size() ? b[i] : "(none)";
+        if (was != now)
+            return detail::concat(was, " there, ", now, " in this run");
+    }
+    return "(no difference)";
+}
+
+} // namespace
+
+ResultJournal::ResultJournal(const std::string &path, std::string settings)
+    : journalPath(path), stamp(std::move(settings))
 {
     file = std::fopen(path.c_str(), "ab");
     if (!file)
@@ -31,11 +53,13 @@ ResultJournal::~ResultJournal()
 
 std::string
 ResultJournal::formatRecord(const std::string &key,
+                            const std::string &settings,
                             const RunOutcome &outcome)
 {
     JsonWriter w(/*pretty=*/false);
     w.beginObject()
         .kv("key", key)
+        .kv("settings", settings)
         .kv("ok", outcome.ok)
         .kv("attempts", outcome.attempts)
         .kv("wall_ms", outcome.wallMs)
@@ -50,7 +74,7 @@ ResultJournal::formatRecord(const std::string &key,
     return w.str();
 }
 
-std::optional<std::pair<std::string, RunOutcome>>
+std::optional<ResultJournal::Record>
 ResultJournal::parseRecord(std::string_view line, std::string *error)
 {
     auto fail = [&](const std::string &why) {
@@ -69,6 +93,10 @@ ResultJournal::parseRecord(std::string_view line, std::string *error)
     const JsonValue *key = doc->find("key");
     if (!key || !key->isString())
         return fail("record has no string 'key'");
+    const JsonValue *settings = doc->find("settings");
+    if (!settings || !settings->isString())
+        return fail("record has no string 'settings' stamp; it predates "
+                    "settings-stamped journals, so start a new journal");
     const JsonValue *ok = doc->find("ok");
     if (!ok || !ok->isBool())
         return fail("record has no boolean 'ok'");
@@ -98,13 +126,13 @@ ResultJournal::parseRecord(std::string_view line, std::string *error)
             return fail("failed record has no string 'error'");
         out.error = err->asString();
     }
-    return std::make_pair(key->asString(), std::move(out));
+    return Record{key->asString(), settings->asString(), std::move(out)};
 }
 
 void
 ResultJournal::append(const std::string &key, const RunOutcome &outcome)
 {
-    std::string record = formatRecord(key, outcome);
+    std::string record = formatRecord(key, stamp, outcome);
     record += '\n';
     std::lock_guard<std::mutex> lock(mutex);
     if (std::fwrite(record.data(), 1, record.size(), file) !=
@@ -120,7 +148,8 @@ ResultJournal::append(const std::string &key, const RunOutcome &outcome)
 }
 
 std::optional<std::map<std::string, RunOutcome>>
-ResultJournal::load(const std::string &path, std::string *error)
+ResultJournal::load(const std::string &path, const std::string &settings,
+                    std::string *error)
 {
     std::ifstream in(path, std::ios::binary);
     if (!in.is_open())
@@ -153,8 +182,17 @@ ResultJournal::load(const std::string &path, std::string *error)
                     ": ", recordError);
             return std::nullopt;
         }
-        out.insert_or_assign(std::move(rec->first),
-                             std::move(rec->second));
+        if (rec->settings != settings) {
+            if (error)
+                *error = detail::concat(
+                    "result journal '", path, "' line ", lineNo,
+                    " was simulated under other settings: ",
+                    firstDifference(rec->settings, settings),
+                    "; resume with the journal's settings or start a "
+                    "new journal");
+            return std::nullopt;
+        }
+        out.insert_or_assign(std::move(rec->key), std::move(rec->outcome));
     }
     if (!sawTornTail && in.bad()) {
         if (error)

@@ -12,10 +12,16 @@
  * shortest-round-trip form).
  *
  * Record shape (one line, compact):
- *   {"key":"lbm|dfc","ok":true,"attempts":1,"wall_ms":812,
- *    "timed_out":false,"metrics":{...Metrics::writeJson...}}
- *   {"key":"mcf|hybrid2","ok":false,"attempts":3,"wall_ms":42,
- *    "timed_out":false,"error":"..."}
+ *   {"key":"lbm|dfc","settings":"nm-mib=1024 ... fm=dram","ok":true,
+ *    "attempts":1,"wall_ms":812,"timed_out":false,
+ *    "metrics":{...Metrics::writeJson...}}
+ *   {"key":"mcf|hybrid2","settings":"...","ok":false,"attempts":3,
+ *    "wall_ms":42,"timed_out":false,"error":"..."}
+ *
+ * `settings` stamps each record with the settings that shaped its
+ * simulation (sim::simulatedSettings()). A resume refuses a journal
+ * whose records carry another stamp, or none: a point simulated with
+ * another instruction budget or capacity is not this run's result.
  *
  * A torn final line (the record being written when the process died)
  * is expected and skipped with a warning on load; a malformed record
@@ -39,8 +45,9 @@ namespace h2::sim {
 class ResultJournal
 {
   public:
-    /** Open @p path for appending; fatal (capturable) on failure. */
-    explicit ResultJournal(const std::string &path);
+    /** Open @p path for appending records stamped @p settings; fatal
+     *  (capturable) on failure. */
+    ResultJournal(const std::string &path, std::string settings);
     ~ResultJournal();
 
     ResultJournal(const ResultJournal &) = delete;
@@ -55,22 +62,34 @@ class ResultJournal
     /**
      * Load all records from @p path; missing file is an empty map (a
      * fresh --resume is a fresh run). Later duplicates win. Returns
-     * nullopt with @p error on a corrupt journal; a torn final line is
-     * tolerated with a warning.
+     * nullopt with @p error on a corrupt journal or a record stamped
+     * other than @p settings (the error names the first differing
+     * setting); a torn final line is tolerated with a warning.
      */
     static std::optional<std::map<std::string, RunOutcome>>
-    load(const std::string &path, std::string *error);
+    load(const std::string &path, const std::string &settings,
+         std::string *error);
 
     /** One outcome as its JSONL record text (no trailing newline). */
     static std::string formatRecord(const std::string &key,
+                                    const std::string &settings,
                                     const RunOutcome &outcome);
 
+    /** One parsed record line. */
+    struct Record
+    {
+        std::string key;
+        std::string settings;
+        RunOutcome outcome;
+    };
+
     /** Parse one record line; nullopt + @p error when malformed. */
-    static std::optional<std::pair<std::string, RunOutcome>>
-    parseRecord(std::string_view line, std::string *error);
+    static std::optional<Record> parseRecord(std::string_view line,
+                                             std::string *error);
 
   private:
     std::string journalPath;
+    std::string stamp; ///< the settings every record carries
     std::FILE *file = nullptr;
     std::mutex mutex;
 };

@@ -8,10 +8,10 @@
  * so they parallelize without changing any result. The runner memoizes
  * completed RunOutcomes in a mutex-guarded map keyed by
  * "workload|design", which also fixes the result ordering
- * deterministically no matter which worker finishes first. Blocking
- * getters (run, speedup, outcome) keep the serial Runner's call shape,
- * so benches submit their whole sweep up front and then render from
- * the completed result map.
+ * deterministically no matter which worker finishes first. Benches
+ * submit their whole sweep up front and then render from the
+ * completed result map through the blocking getters (run, speedup,
+ * outcome); at one job it is also the serial, memoizing runner.
  *
  * Fault tolerance: each point runs under a ScopedFatalCapture, so a
  * bad design spec, an unreadable trace, an invalid config, a thrown

@@ -47,14 +47,22 @@ Workload::totalVirtualBytes(u32 numCores) const
     return perCoreFootprint(numCores) * numCores;
 }
 
+std::string
+Workload::coreMismatch(u32 numCores) const
+{
+    if (!trace || numCores == traceStreams)
+        return {};
+    return detail::concat("trace '", cacheName(), "' was captured with ",
+                          traceStreams, " streams but cores is ", numCores,
+                          "; set cores ", traceStreams);
+}
+
 std::unique_ptr<TraceSource>
 Workload::makeSource(u32 core, u32 numCores, u64 seed) const
 {
     if (trace) {
-        if (numCores != traceStreams)
-            h2_fatal("trace '", cacheName(), "' was captured with ",
-                     traceStreams, " streams; run it with --cores ",
-                     traceStreams, " (got ", numCores, ")");
+        if (std::string err = coreMismatch(numCores); !err.empty())
+            h2_fatal(err);
         return std::make_unique<FileTraceSource>(trace, core);
     }
     if (!mixParts.empty()) {

@@ -87,7 +87,11 @@ struct Workload
     /** Total virtual address space the job needs. */
     u64 totalVirtualBytes(u32 numCores) const;
 
-    /** Build core @p core's trace source. */
+    /** "" when the workload can run on @p numCores cores, else why not:
+     *  a trace replays on exactly as many cores as it has streams. */
+    std::string coreMismatch(u32 numCores) const;
+
+    /** Build core @p core's trace source; fatal on a coreMismatch. */
     std::unique_ptr<TraceSource> makeSource(u32 core, u32 numCores,
                                             u64 seed) const;
 };

@@ -56,6 +56,39 @@ fi
 expect_usage_error "trace replayed with the wrong --cores" "2 streams" \
     --design dfc --workload trace:two.trace --cores 1 --instr 2000
 
+# Values past a setting's range are rejected, not truncated: a u32 count
+# one past 4294967295 used to wrap to 1, and an MiB count whose byte
+# count overflows 64 bits wrapped to a tiny capacity.
+for flag in cores jobs retries; do
+    expect_usage_error "--$flag past 32 bits" "$flag" \
+        "${RUN[@]}" "--$flag" 4294967297
+done
+for flag in nm-mib fm-mib; do
+    expect_usage_error "--$flag past 2^44-1" "$flag" \
+        "${RUN[@]}" "--$flag" 17592186044417
+done
+for line in "cores 4294967297" "jobs 4294967297" "retries 4294967297" \
+            "nm-mib 17592186044417" "fm-mib 17592186044417"; do
+    printf 'design dfc\nworkload lbm\ninstr 2000\n%s\n' "$line" \
+        > range.experiment
+    expect_usage_error "directive '$line'" "${line%% *}" \
+        --experiment range.experiment
+done
+
+# A journal written under one instruction budget is not resumed under
+# another: the points it holds simulated something else.
+if ! "$H2SIM" "${RUN[@]}" --journal budget.jnl > /dev/null 2>&1; then
+    echo "FAIL: journaled run failed"
+    exit 1
+fi
+expect_usage_error "--resume under another --instr" "budget.jnl" \
+    --design dfc --workload lbm --cores 1 --instr 8000 \
+    --journal budget.jnl --resume
+if ! grep -qF "instr" err.txt; then
+    echo "FAIL: the refused resume does not name the differing setting"
+    failures=$((failures + 1))
+fi
+
 # The same sweep as flags and as a file renders byte-identical JSON.
 "$H2SIM" --design dfc --design hybrid2 --workload lbm --cores 1 \
     --instr 3000 --seed 7 --queue off --fm pcm --speedup --format json \

@@ -14,6 +14,7 @@
 
 #include "common/flat_map.h"
 #include "common/log.h"
+#include "common/parse.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/thread_pool.h"
@@ -220,6 +221,20 @@ TEST(Permutation, DeterministicAcrossInstances)
     RandomPermutation a(512, 99), b(512, 99);
     for (u64 i = 0; i < 512; ++i)
         EXPECT_EQ(a.map(i), b.map(i));
+}
+
+TEST(Parse, U64OrFatalRejectsValuesPastTheBound)
+{
+    // The bench --jobs= bound: a u32 count one past its range used to
+    // truncate to 1 instead of failing.
+    ScopedFatalCapture capture;
+    EXPECT_EQ(parseU64OrFatal("--jobs", "4294967295", ~u32(0)),
+              4294967295u);
+    EXPECT_THROW(parseU64OrFatal("--jobs", "4294967297", ~u32(0)),
+                 FatalError);
+    EXPECT_THROW(parseU64OrFatal("--jobs", "x"), FatalError);
+    EXPECT_EQ(parseU64OrFatal("--instr", "18446744073709551615"),
+              ~u64(0));
 }
 
 TEST(Log, QuietFlagRoundTrip)

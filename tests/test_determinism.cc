@@ -1,6 +1,6 @@
 /**
  * @file
- * Golden determinism guarantee: the Runner must produce bit-identical
+ * Golden determinism guarantee: simulateOne must produce bit-identical
  * metrics for identical RunConfigs (same seed) and different metrics
  * for a different seed. Guards future parallelization of the runner.
  */
@@ -66,20 +66,16 @@ class Determinism : public ::testing::TestWithParam<const char *>
 TEST_P(Determinism, SameSeedBitIdentical)
 {
     const std::string design = GetParam();
-    Runner first(quickCfg());
-    Runner second(quickCfg());
-    const Metrics &a = first.run(tinyWorkload(), design);
-    const Metrics &b = second.run(tinyWorkload(), design);
+    Metrics a = simulateOne(quickCfg(), tinyWorkload(), design);
+    Metrics b = simulateOne(quickCfg(), tinyWorkload(), design);
     expectBitIdentical(a, b);
 }
 
 TEST_P(Determinism, DifferentSeedDiffers)
 {
     const std::string design = GetParam();
-    Runner first(quickCfg(42));
-    Runner other(quickCfg(43));
-    const Metrics &a = first.run(tinyWorkload(), design);
-    const Metrics &b = other.run(tinyWorkload(), design);
+    Metrics a = simulateOne(quickCfg(42), tinyWorkload(), design);
+    Metrics b = simulateOne(quickCfg(43), tinyWorkload(), design);
     // A different trace seed must change the observed timing; if it
     // doesn't, the seed isn't reaching the trace generators.
     EXPECT_NE(a.timePs, b.timePs);

@@ -42,7 +42,7 @@ TEST(ExperimentParse, GoodFileParsesAndCanonicalizes)
     EXPECT_EQ(spec->designs[0], "dfc"); // default line elided
     EXPECT_EQ(spec->designs[1], "hybrid2:cache=2");
     ASSERT_EQ(spec->workloads.size(), 2u);
-    EXPECT_EQ(spec->workloads[0], "lbm");
+    EXPECT_EQ(spec->workloads[0].name, "lbm");
     EXPECT_EQ(spec->config.nmBytes, 64 * MiB);
     EXPECT_EQ(spec->config.fmBytes, 1024 * MiB);
     EXPECT_EQ(spec->config.numCores, 1u);
@@ -143,6 +143,74 @@ TEST(ExperimentParse, InvalidRunConfigRejected)
     EXPECT_NE(err.find("instrPerCore"), std::string::npos) << err;
 }
 
+TEST(ExperimentParse, OutOfRangeValuesRejectedNotTruncated)
+{
+    // A u32 setting one past its range used to wrap to 1, and an MiB
+    // count whose byte count overflows wrapped to a tiny capacity.
+    std::string err;
+    for (const char *line :
+         {"cores 4294967297", "jobs 4294967296", "retries 4294967297",
+          "nm-mib 17592186044417", "fm-mib 17592186044416",
+          "instr 18446744073709551616"}) {
+        EXPECT_FALSE(ExperimentSpec::parse(
+            std::string("design dfc\nworkload lbm\n") + line + "\n", &err))
+            << line;
+        EXPECT_NE(err.find("line 3"), std::string::npos) << err;
+        EXPECT_NE(err.find("bad value for"), std::string::npos) << err;
+    }
+    // The largest in-range values still parse.
+    auto spec = ExperimentSpec::parse("design dfc\nworkload lbm\n"
+                                      "jobs 4294967295\n"
+                                      "retries 4294967295\n"
+                                      "fm-mib 17592186044415\n",
+                                      &err);
+    ASSERT_TRUE(spec) << err;
+    EXPECT_EQ(spec->jobs, 4294967295u);
+    EXPECT_EQ(spec->config.retries, 4294967295u);
+    EXPECT_EQ(spec->config.fmBytes, 17592186044415ull * MiB);
+}
+
+TEST(ExperimentParse, RunTimeoutKeepsItsUnderscoreSpelling)
+{
+    std::string err;
+    auto spec = ExperimentSpec::parse(
+        "design dfc\nworkload lbm\nrun_timeout 250\n", &err);
+    ASSERT_TRUE(spec) << err;
+    EXPECT_EQ(spec->config.runTimeoutMs, 250u);
+}
+
+TEST(RunSettings, HelpFlagsAndStampComeFromTheTable)
+{
+    std::string help = runSettingsHelp();
+    for (const char *name :
+         {"design", "workload", "nm-mib", "fm-mib", "cores", "instr",
+          "warmup", "seed", "queue", "fm", "jobs", "speedup", "format",
+          "run-timeout", "retries"}) {
+        EXPECT_NE(findRunSetting(name), nullptr) << name;
+        EXPECT_NE(help.find(std::string("  --") + name + " "),
+                  std::string::npos)
+            << name;
+    }
+    EXPECT_EQ(findRunSetting("frobnicate"), nullptr);
+    EXPECT_EQ(runSettingFlags(SettingRole::Override),
+              "--jobs, --speedup, --format");
+    EXPECT_EQ(runSettingFlags(SettingRole::FileOnly),
+              "--design, --workload, --nm-mib, --fm-mib, --cores, --instr, "
+              "--warmup, --seed, --queue, --fm, --run-timeout, --retries");
+
+    RunConfig cfg;
+    EXPECT_EQ(simulatedSettings(cfg),
+              "nm-mib=1024 fm-mib=16384 cores=8 instr=1500000 warmup=0 "
+              "seed=42 queue=on fm=dram");
+    // Settings that do not change what a point simulates stay out.
+    cfg.runTimeoutMs = 5;
+    cfg.retries = 2;
+    EXPECT_EQ(simulatedSettings(cfg), simulatedSettings(RunConfig{}));
+    // A hand-built sub-MiB capacity still renders exactly.
+    cfg.nmBytes = MiB / 2;
+    EXPECT_NE(simulatedSettings(cfg).find("nm-mib=0.5 "), std::string::npos);
+}
+
 TEST(ExperimentParse, MissingFileReportsPath)
 {
     std::string err;
@@ -211,6 +279,13 @@ TEST_F(ExperimentRunTest, AllFormatsRenderTheSameRuns)
                         std::to_string(records[0].metrics.instructions)),
               std::string::npos);
     EXPECT_NE(json.find("\"speedup_vs_baseline\""), std::string::npos);
+    // The config block carries every setting that shapes the results.
+    EXPECT_NE(json.find("\"queue\": true"), std::string::npos) << json;
+    RunConfig analytic = spec.config;
+    analytic.queue = false;
+    EXPECT_NE(renderReport(analytic, records, OutputFormat::Json)
+                  .find("\"queue\": false"),
+              std::string::npos);
 
     // CSV: header plus one row per record, speedup column appended.
     ASSERT_EQ(csv.find(Metrics::csvHeader() + ",speedup_vs_baseline\n"),

@@ -2,8 +2,9 @@
  * @file
  * Crash-safe result journal tests: exact outcome round-trips (the
  * property that makes --resume reports bit-identical), torn-tail
- * tolerance, corruption detection, and journal-seeded resumes through
- * runExperiment producing byte-identical reports.
+ * tolerance, corruption detection, journal-seeded resumes through
+ * runExperiment producing byte-identical reports, and the settings
+ * stamp that keeps a resume from reusing another run's results.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include <fstream>
 #include <string>
 
+#include "common/log.h"
 #include "common/units.h"
 #include "sim/experiment.h"
 #include "sim/report.h"
@@ -41,6 +43,9 @@ tinyWorkload(const char *name = "lbm")
     return w;
 }
 
+/** The stamp the unit-level journals carry. */
+const std::string kSettings = simulatedSettings(quickCfg());
+
 std::string
 journalPath(const char *name)
 {
@@ -62,11 +67,11 @@ TEST(ResultJournal, RealMetricsRoundTripExactly)
 
     std::string path = journalPath("roundtrip.jnl");
     {
-        ResultJournal journal(path);
+        ResultJournal journal(path, kSettings);
         journal.append("lbm|hybrid2", out);
     }
     std::string err;
-    auto loaded = ResultJournal::load(path, &err);
+    auto loaded = ResultJournal::load(path, kSettings, &err);
     ASSERT_TRUE(loaded) << err;
     ASSERT_EQ(loaded->size(), 1u);
     EXPECT_EQ(loaded->at("lbm|hybrid2"), out);
@@ -84,11 +89,11 @@ TEST(ResultJournal, FailedOutcomeRoundTrips)
 
     std::string path = journalPath("failed.jnl");
     {
-        ResultJournal journal(path);
+        ResultJournal journal(path, kSettings);
         journal.append("lbm|dfc", out);
     }
     std::string err;
-    auto loaded = ResultJournal::load(path, &err);
+    auto loaded = ResultJournal::load(path, kSettings, &err);
     ASSERT_TRUE(loaded) << err;
     EXPECT_EQ(loaded->at("lbm|dfc"), out);
     std::remove(path.c_str());
@@ -98,7 +103,8 @@ TEST(ResultJournal, MissingFileIsEmpty)
 {
     std::string err;
     auto loaded =
-        ResultJournal::load(journalPath("never_written.jnl"), &err);
+        ResultJournal::load(journalPath("never_written.jnl"), kSettings,
+                            &err);
     ASSERT_TRUE(loaded) << err;
     EXPECT_TRUE(loaded->empty());
 }
@@ -111,7 +117,7 @@ TEST(ResultJournal, TornFinalLineIsDiscarded)
 
     std::string path = journalPath("torn.jnl");
     {
-        ResultJournal journal(path);
+        ResultJournal journal(path, kSettings);
         journal.append("lbm|dfc", out);
     }
     // Emulate a crash mid-append: a partial record with no newline.
@@ -120,7 +126,7 @@ TEST(ResultJournal, TornFinalLineIsDiscarded)
         app << "{\"key\":\"lbm|baseline\",\"ok\":tr";
     }
     std::string err;
-    auto loaded = ResultJournal::load(path, &err);
+    auto loaded = ResultJournal::load(path, kSettings, &err);
     ASSERT_TRUE(loaded) << err;
     ASSERT_EQ(loaded->size(), 1u);
     EXPECT_EQ(loaded->at("lbm|dfc"), out);
@@ -137,10 +143,10 @@ TEST(ResultJournal, CorruptInteriorLineIsAnError)
     {
         std::ofstream f(path, std::ios::binary);
         f << "not json at all\n";
-        f << ResultJournal::formatRecord("lbm|dfc", out) << "\n";
+        f << ResultJournal::formatRecord("lbm|dfc", kSettings, out) << "\n";
     }
     std::string err;
-    EXPECT_FALSE(ResultJournal::load(path, &err));
+    EXPECT_FALSE(ResultJournal::load(path, kSettings, &err));
     EXPECT_NE(err.find("line 1"), std::string::npos);
     std::remove(path.c_str());
 }
@@ -157,12 +163,12 @@ TEST(ResultJournal, LaterDuplicateWins)
 
     std::string path = journalPath("dups.jnl");
     {
-        ResultJournal journal(path);
+        ResultJournal journal(path, kSettings);
         journal.append("lbm|dfc", first);
         journal.append("lbm|dfc", second);
     }
     std::string err;
-    auto loaded = ResultJournal::load(path, &err);
+    auto loaded = ResultJournal::load(path, kSettings, &err);
     ASSERT_TRUE(loaded) << err;
     ASSERT_EQ(loaded->size(), 1u);
     EXPECT_EQ(loaded->at("lbm|dfc"), second);
@@ -177,32 +183,41 @@ TEST(ResultJournal, RecordsRejectMissingFields)
         ResultJournal::parseRecord("{\"key\":\"a|b\"}", &err));
     // ok records need metrics; failed records need an error string.
     EXPECT_FALSE(ResultJournal::parseRecord(
-        "{\"key\":\"a|b\",\"ok\":true}", &err));
+        "{\"key\":\"a|b\",\"settings\":\"\",\"ok\":true}", &err));
     EXPECT_FALSE(ResultJournal::parseRecord(
-        "{\"key\":\"a|b\",\"ok\":false}", &err));
+        "{\"key\":\"a|b\",\"settings\":\"\",\"ok\":false}", &err));
+    // Every record carries the settings stamp.
+    EXPECT_TRUE(ResultJournal::parseRecord(
+        "{\"key\":\"a|b\",\"settings\":\"\",\"ok\":false,"
+        "\"error\":\"x\"}",
+        &err))
+        << err;
+    EXPECT_FALSE(ResultJournal::parseRecord(
+        "{\"key\":\"a|b\",\"ok\":false,\"error\":\"x\"}", &err));
+    EXPECT_NE(err.find("'settings'"), std::string::npos) << err;
 }
 
 TEST(ResultJournal, ResumedExperimentReportIsByteIdentical)
 {
     ExperimentSpec spec;
     spec.config = quickCfg();
-    spec.workloads = {"lbm", "mcf"};
-    // Pre-resolved so the tiny footprints fit quickCfg's capacities.
-    spec.resolvedWorkloads = {tinyWorkload("lbm"), tinyWorkload("mcf")};
+    // Tiny footprints, so they fit quickCfg's capacities.
+    spec.workloads = {tinyWorkload("lbm"), tinyWorkload("mcf")};
     spec.designs = {"dfc", "hybrid2"};
     spec.speedup = true;
+    spec.jobs = 2;
 
     // Reference: no journal, straight through.
-    std::vector<RunRecord> reference = runExperiment(spec, 2);
+    std::vector<RunRecord> reference = runExperiment(spec);
 
     // Journaled run, then a resumed run against the same journal: the
     // resume simulates nothing (every point is journaled) and must
     // reproduce the records, and the rendered report, exactly.
     std::string path = journalPath("resume.jnl");
     spec.journalPath = path;
-    std::vector<RunRecord> journaled = runExperiment(spec, 2);
+    std::vector<RunRecord> journaled = runExperiment(spec);
     spec.resume = true;
-    std::vector<RunRecord> resumed = runExperiment(spec, 2);
+    std::vector<RunRecord> resumed = runExperiment(spec);
 
     auto render = [&](const std::vector<RunRecord> &records,
                       OutputFormat f) {
@@ -223,21 +238,66 @@ TEST(ResultJournal, ResumeSkipsJournaledFailuresToo)
     // time re-proving it.
     ExperimentSpec spec;
     spec.config = quickCfg();
-    spec.workloads = {"lbm"};
-    spec.resolvedWorkloads = {tinyWorkload()};
+    spec.workloads = {tinyWorkload()};
     spec.designs = {"nosuchdesign"};
 
     std::string path = journalPath("resume_failed.jnl");
     spec.journalPath = path;
-    std::vector<RunRecord> first = runExperiment(spec, 1);
+    std::vector<RunRecord> first = runExperiment(spec);
     ASSERT_EQ(first.size(), 1u);
     EXPECT_FALSE(first[0].ok);
 
     spec.resume = true;
-    std::vector<RunRecord> resumed = runExperiment(spec, 1);
+    std::vector<RunRecord> resumed = runExperiment(spec);
     ASSERT_EQ(resumed.size(), 1u);
     EXPECT_FALSE(resumed[0].ok);
     EXPECT_EQ(resumed[0].error, first[0].error);
+    std::remove(path.c_str());
+}
+
+TEST(ResultJournal, ResumeRefusesAJournalOfOtherSettings)
+{
+    // A journal written with one instruction budget must not stand in
+    // for a run with another: the resume fails, naming the journal and
+    // the first setting that differs, before anything simulates.
+    ExperimentSpec spec;
+    spec.config = quickCfg();
+    spec.workloads = {tinyWorkload()};
+    spec.designs = {"dfc"};
+    std::string path = journalPath("resume_other.jnl");
+    spec.journalPath = path;
+    ASSERT_TRUE(runExperiment(spec).at(0).ok);
+
+    spec.resume = true;
+    spec.config.instrPerCore = 40'000;
+    ScopedFatalCapture capture;
+    try {
+        runExperiment(spec);
+        ADD_FAILURE() << "resumed a journal of other settings";
+    } catch (const FatalError &e) {
+        std::string what = e.what();
+        EXPECT_NE(what.find(path), std::string::npos) << what;
+        EXPECT_NE(what.find("instr=20000"), std::string::npos) << what;
+        EXPECT_NE(what.find("instr=40000"), std::string::npos) << what;
+    }
+
+    // Under the journal's own settings the resume still goes through.
+    spec.config.instrPerCore = quickCfg().instrPerCore;
+    EXPECT_TRUE(runExperiment(spec).at(0).ok);
+    std::remove(path.c_str());
+}
+
+TEST(ResultJournal, UnstampedRecordsAreRefused)
+{
+    std::string path = journalPath("unstamped.jnl");
+    {
+        std::ofstream f(path, std::ios::binary);
+        f << "{\"key\":\"lbm|dfc\",\"ok\":false,\"error\":\"x\"}\n";
+    }
+    std::string err;
+    EXPECT_FALSE(ResultJournal::load(path, kSettings, &err));
+    EXPECT_NE(err.find(path), std::string::npos) << err;
+    EXPECT_NE(err.find("'settings'"), std::string::npos) << err;
     std::remove(path.c_str());
 }
 
