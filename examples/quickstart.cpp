@@ -10,12 +10,13 @@
 #include <cstdio>
 #include <string>
 
+#include "common/log.h"
 #include "common/units.h"
 #include "sim/sweep_runner.h"
 
 int
 main(int argc, char **argv)
-{
+try {
     using namespace h2;
 
     std::string workloadName = argc > 1 ? argv[1] : "lbm";
@@ -48,4 +49,9 @@ main(int argc, char **argv)
         if (key.rfind("dcmc.", 0) == 0)
             std::printf("  %-28s %.0f\n", key.c_str(), value);
     return 0;
+} catch (const h2::FatalError &e) {
+    // A failed point (e.g. NM not smaller than FM) ends the example
+    // with its reason, like any other fatal error.
+    std::fprintf(stderr, "fatal: %s\n", e.what());
+    return 1;
 }

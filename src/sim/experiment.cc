@@ -72,11 +72,13 @@ std::string
 parseCount(std::string_view name, std::string_view value, T &out,
            u64 max = std::numeric_limits<T>::max())
 {
-    u64 v = 0;
-    if (!tryParseU64(value, v))
+    if (value.empty() ||
+        value.find_first_not_of("0123456789") != std::string_view::npos)
         return detail::concat("bad value for ", name, ": '", value,
                               "' (expected a decimal integer)");
-    if (v > max)
+    // All digits, so a failed parse can only be a u64 overflow.
+    u64 v = 0;
+    if (!tryParseU64(value, v) || v > max)
         return detail::concat("bad value for ", name, ": '", value,
                               "' (out of range; at most ", max, ")");
     out = static_cast<T>(v);

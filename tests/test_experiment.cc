@@ -156,7 +156,7 @@ TEST(ExperimentParse, OutOfRangeValuesRejectedNotTruncated)
             std::string("design dfc\nworkload lbm\n") + line + "\n", &err))
             << line;
         EXPECT_NE(err.find("line 3"), std::string::npos) << err;
-        EXPECT_NE(err.find("bad value for"), std::string::npos) << err;
+        EXPECT_NE(err.find("out of range"), std::string::npos) << err;
     }
     // The largest in-range values still parse.
     auto spec = ExperimentSpec::parse("design dfc\nworkload lbm\n"
