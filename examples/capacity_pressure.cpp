@@ -13,13 +13,12 @@
 #include <string>
 #include <vector>
 
-#include "common/log.h"
 #include "common/units.h"
 #include "sim/sweep_runner.h"
 
 int
 main(int argc, char **argv)
-try {
+{
     using namespace h2;
 
     double footprintGib = argc > 1 ? std::stod(argv[1]) : 16.5;
@@ -69,9 +68,4 @@ try {
                 "NM in the flat\naddress space (paper: 5.9%%/12.1%%/24.6%% "
                 "more memory than caches at 1/2/4GiB).\n");
     return 0;
-} catch (const h2::FatalError &e) {
-    // A failed point (e.g. NM not smaller than FM) ends the example
-    // with its reason, like any other fatal error.
-    std::fprintf(stderr, "fatal: %s\n", e.what());
-    return 1;
 }

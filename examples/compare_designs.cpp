@@ -10,13 +10,12 @@
 #include <cstdio>
 #include <string>
 
-#include "common/log.h"
 #include "common/units.h"
 #include "sim/sweep_runner.h"
 
 int
 main(int argc, char **argv)
-try {
+{
     using namespace h2;
 
     std::string workloadName = argc > 1 ? argv[1] : "omnetpp";
@@ -50,9 +49,4 @@ try {
                 "NM capacity\nwhile the migration designs and Hybrid2 "
                 "keep (most of) it.\n");
     return 0;
-} catch (const h2::FatalError &e) {
-    // A failed point (e.g. NM not smaller than FM) ends the example
-    // with its reason, like any other fatal error.
-    std::fprintf(stderr, "fatal: %s\n", e.what());
-    return 1;
 }

@@ -11,14 +11,13 @@
 #include <string>
 #include <vector>
 
-#include "common/log.h"
 #include "common/units.h"
 #include "core/xta.h"
 #include "sim/sweep_runner.h"
 
 int
 main(int argc, char **argv)
-try {
+{
     using namespace h2;
 
     std::string workloadName = argc > 1 ? argv[1] : "lbm";
@@ -60,9 +59,4 @@ try {
     std::printf("paper's suite-wide best: 64MiB cache, 2KiB sectors, "
                 "256B lines\n");
     return 0;
-} catch (const h2::FatalError &e) {
-    // A failed point (e.g. NM not smaller than FM) ends the example
-    // with its reason, like any other fatal error.
-    std::fprintf(stderr, "fatal: %s\n", e.what());
-    return 1;
 }

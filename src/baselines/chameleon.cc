@@ -26,7 +26,6 @@ cacheModeParams(const ChameleonParams &cfg)
     p.sizeBytes = cfg.cacheSliceBytes;
     p.ways = 16;
     p.lineBytes = cfg.segmentBytes;
-    p.repl = cache::ReplPolicy::Lru;
     return p;
 }
 
@@ -38,7 +37,6 @@ sketchParams()
     p.sizeBytes = 64 * 1024 * 8; // 64K segment entries of 8 B each
     p.ways = 8;
     p.lineBytes = 8;
-    p.repl = cache::ReplPolicy::Lru;
     return p;
 }
 

@@ -15,7 +15,6 @@ dfcParams(u32 lineBytes)
     DramCacheParams p;
     p.lineBytes = lineBytes;
     p.ways = 16;
-    p.tagLatencyPs = 0; // charged explicitly via the tag cache model
     return p;
 }
 

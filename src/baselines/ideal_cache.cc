@@ -18,7 +18,6 @@ tagParams(u64 nmBytes, const DramCacheParams &cp)
     p.sizeBytes = nmBytes;
     p.ways = cp.ways;
     p.lineBytes = cp.lineBytes;
-    p.repl = cache::ReplPolicy::Lru;
     return p;
 }
 
@@ -42,10 +41,9 @@ IdealCache::IdealCache(const mem::MemSystemParams &sysParams,
 }
 
 void
-IdealCache::tagLookup(Addr, mem::Timeline &tl)
+IdealCache::tagLookup(Addr, mem::Timeline &)
 {
     // The IDEAL cache has no tag-lookup overhead (Figure 2).
-    tl.advance(cp.tagLatencyPs);
 }
 
 void

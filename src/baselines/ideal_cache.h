@@ -24,8 +24,6 @@ struct DramCacheParams
 {
     u32 lineBytes = 1024;
     u32 ways = 16;
-    /** Extra fixed latency per lookup (tag handling), ps. */
-    Tick tagLatencyPs = 0;
 };
 
 class IdealCache : public mem::HybridMemory

@@ -12,7 +12,6 @@ taglessParams()
     DramCacheParams p;
     p.lineBytes = 4096; // OS page granularity
     p.ways = 16;
-    p.tagLatencyPs = 0; // TLB-resident metadata: no lookup overhead
     return p;
 }
 

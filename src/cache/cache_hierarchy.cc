@@ -5,29 +5,30 @@
 namespace h2::cache {
 
 CacheHierarchy::CacheHierarchy(const HierarchyParams &params)
-    : cfg(params)
+    : cfg(params), llc(params.llc)
 {
     h2_assert(cfg.numCores > 0, "hierarchy needs at least one core");
     h2_assert(cfg.l1.lineBytes == cfg.l2.lineBytes &&
               cfg.l2.lineBytes == cfg.llc.lineBytes,
               "all SRAM levels must share one line size");
+    l1s.reserve(cfg.numCores);
+    l2s.reserve(cfg.numCores);
     for (u32 c = 0; c < cfg.numCores; ++c) {
-        l1s.push_back(std::make_unique<SetAssocCache>(cfg.l1));
-        l2s.push_back(std::make_unique<SetAssocCache>(cfg.l2));
+        l1s.emplace_back(cfg.l1);
+        l2s.emplace_back(cfg.l2);
     }
-    llc = std::make_unique<SetAssocCache>(cfg.llc);
 }
 
 void
 CacheHierarchy::insertLlc(Addr addr, bool dirty, HierarchyResult &result)
 {
-    if (llc->probe(addr)) {
+    if (llc.probe(addr)) {
         // Non-inclusive: a copy may already live here; just merge dirt.
         if (dirty)
-            llc->setDirty(addr);
+            llc.setDirty(addr);
         return;
     }
-    auto victim = llc->insert(addr, dirty);
+    auto victim = llc.insert(addr, dirty);
     if (victim && victim->dirty) {
         h2_assert(!result.writeback,
                   "one access produced two LLC writebacks");
@@ -39,16 +40,16 @@ void
 CacheHierarchy::fillL1(CoreId core, Addr addr, bool dirty,
                        HierarchyResult &result)
 {
-    auto v1 = l1s[core]->insert(addr, dirty);
+    auto v1 = l1s[core].insert(addr, dirty);
     if (!v1)
         return;
     // L1 victim falls into L2 (merge if already present).
-    if (l2s[core]->probe(v1->addr)) {
+    if (l2s[core].probe(v1->addr)) {
         if (v1->dirty)
-            l2s[core]->setDirty(v1->addr);
+            l2s[core].setDirty(v1->addr);
         return;
     }
-    auto v2 = l2s[core]->insert(v1->addr, v1->dirty);
+    auto v2 = l2s[core].insert(v1->addr, v1->dirty);
     if (v2)
         insertLlc(v2->addr, v2->dirty, result);
 }
@@ -61,12 +62,12 @@ CacheHierarchy::access(CoreId core, Addr addr, AccessType type)
     ++nAccesses;
     HierarchyResult result;
 
-    if (l1s[core]->access(line, type)) {
+    if (l1s[core].access(line, type)) {
         result.latencyCycles = cfg.l1LatencyCycles;
         result.hitLevel = 1;
         return result;
     }
-    if (l2s[core]->access(line, type)) {
+    if (l2s[core].access(line, type)) {
         result.latencyCycles = cfg.l2LatencyCycles;
         result.hitLevel = 2;
         // Promote to L1, retaining the L2 copy (non-inclusive). The L1
@@ -74,7 +75,7 @@ CacheHierarchy::access(CoreId core, Addr addr, AccessType type)
         fillL1(core, line, false, result);
         return result;
     }
-    if (llc->access(line, type)) {
+    if (llc.access(line, type)) {
         result.latencyCycles = cfg.llcLatencyCycles;
         result.hitLevel = 3;
         fillL1(core, line, false, result);
@@ -94,13 +95,13 @@ bool
 CacheHierarchy::llcHolds(Addr addr) const
 {
     Addr line = addr & ~Addr(cfg.llc.lineBytes - 1);
-    return llc->probe(line);
+    return llc.probe(line);
 }
 
 u32
 CacheHierarchy::llcResidentLinesInRange(Addr base, u64 bytes) const
 {
-    return llc->residentLinesInRange(base, bytes);
+    return llc.residentLinesInRange(base, bytes);
 }
 
 void
@@ -109,10 +110,10 @@ CacheHierarchy::resetStats()
     nAccesses = 0;
     nLlcMisses = 0;
     for (auto &c : l1s)
-        c->resetStats();
+        c.resetStats();
     for (auto &c : l2s)
-        c->resetStats();
-    llc->resetStats();
+        c.resetStats();
+    llc.resetStats();
 }
 
 void
@@ -120,7 +121,7 @@ CacheHierarchy::collectStats(StatSet &out) const
 {
     out.add("hier.accesses", double(nAccesses));
     out.add("hier.llcMisses", double(nLlcMisses));
-    llc->collectStats(out, "hier.llc");
+    llc.collectStats(out, "hier.llc");
 }
 
 } // namespace h2::cache

@@ -11,7 +11,6 @@
 
 #pragma once
 
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -24,9 +23,9 @@ namespace h2::cache {
 struct HierarchyParams
 {
     u32 numCores = 8;
-    CacheParams l1{"L1", 64 * 1024, 4, 64, ReplPolicy::Lru};
-    CacheParams l2{"L2", 256 * 1024, 8, 64, ReplPolicy::Lru};
-    CacheParams llc{"LLC", 8ull * 1024 * 1024, 16, 64, ReplPolicy::Lru};
+    CacheParams l1{"L1", 64 * 1024, 4, 64};
+    CacheParams l2{"L2", 256 * 1024, 8, 64};
+    CacheParams llc{"LLC", 8ull * 1024 * 1024, 16, 64};
     u32 l1LatencyCycles = 1;
     u32 l2LatencyCycles = 9;
     u32 llcLatencyCycles = 14;
@@ -72,8 +71,8 @@ class CacheHierarchy
     /** Zero counters after warm-up (cache contents are kept). */
     void resetStats();
 
-    SetAssocCache &llcCache() { return *llc; }
-    const SetAssocCache &llcCache() const { return *llc; }
+    SetAssocCache &llcCache() { return llc; }
+    const SetAssocCache &llcCache() const { return llc; }
 
     void collectStats(StatSet &out) const;
 
@@ -84,9 +83,9 @@ class CacheHierarchy
     void insertLlc(Addr addr, bool dirty, HierarchyResult &result);
 
     HierarchyParams cfg;
-    std::vector<std::unique_ptr<SetAssocCache>> l1s;
-    std::vector<std::unique_ptr<SetAssocCache>> l2s;
-    std::unique_ptr<SetAssocCache> llc;
+    std::vector<SetAssocCache> l1s;
+    std::vector<SetAssocCache> l2s;
+    SetAssocCache llc;
     u64 nAccesses = 0;
     u64 nLlcMisses = 0;
 };

@@ -4,120 +4,86 @@
 
 namespace h2::cache {
 
-SetAssocCache::SetAssocCache(const CacheParams &params)
-    : cfg(params)
+namespace {
+
+u64
+checkedSets(const CacheParams &cfg)
 {
     h2_assert(cfg.sizeBytes > 0 && cfg.ways > 0 && cfg.lineBytes > 0,
               cfg.name, ": bad cache geometry");
     h2_assert(cfg.sizeBytes % (u64(cfg.ways) * cfg.lineBytes) == 0,
               cfg.name, ": size not divisible by ways*lineBytes");
-    sets = static_cast<u32>(cfg.sizeBytes / (u64(cfg.ways) * cfg.lineBytes));
+    u64 sets = cfg.sizeBytes / (u64(cfg.ways) * cfg.lineBytes);
     h2_assert(sets > 0, cfg.name, ": zero sets");
-    linePow2 = isPowerOf2(cfg.lineBytes);
-    if (linePow2)
-        lineShift = floorLog2(cfg.lineBytes);
-    setPow2 = isPowerOf2(sets);
-    if (setPow2) {
-        setShift = floorLog2(sets);
-        setMask = sets - 1;
-    }
-    u64 n = u64(sets) * cfg.ways;
-    tagLane.assign(n, kInvalidTag);
-    stampLane.assign(n, 0);
-    dirtyLane.assign(n, 0);
+    return sets;
 }
 
-u64
-SetAssocCache::findSlot(Addr addr) const
+} // namespace
+
+SetAssocCache::SetAssocCache(const CacheParams &params)
+    : cfg(params), linePow2(isPowerOf2(params.lineBytes)),
+      lines(checkedSets(params), params.ways)
 {
-    u64 block = blockIndex(addr);
-    u32 set = setIndex(block);
-    u64 tag = tagOf(block);
-    u64 base = u64(set) * cfg.ways;
-    for (u32 w = 0; w < cfg.ways; ++w)
-        if (tagLane[base + w] == tag)
-            return base + w;
-    return npos;
+    if (linePow2)
+        lineShift = floorLog2(cfg.lineBytes);
 }
 
 bool
 SetAssocCache::access(Addr addr, AccessType type)
 {
-    u64 slot = findSlot(addr);
-    if (slot == npos) {
-        ++nMisses;
+    u64 slot = lines.lookup(blockIndex(addr));
+    if (slot == npos)
         return false;
-    }
-    ++nHits;
-    if (cfg.repl == ReplPolicy::Lru)
-        stampLane[slot] = ++clock;
     if (type == AccessType::Write)
-        dirtyLane[slot] = 1;
+        lines.payload(slot) = 1;
     return true;
-}
-
-bool
-SetAssocCache::probe(Addr addr) const
-{
-    return findSlot(addr) != npos;
 }
 
 bool
 SetAssocCache::probeDirty(Addr addr) const
 {
-    u64 slot = findSlot(addr);
-    return slot != npos && dirtyLane[slot];
+    u64 slot = lines.find(blockIndex(addr));
+    return slot != npos && lines.payload(slot);
 }
 
 std::optional<Eviction>
 SetAssocCache::insert(Addr addr, bool dirty)
 {
-    h2_assert(!probe(addr), cfg.name, ": double insert of addr ", addr);
     u64 block = blockIndex(addr);
-    u32 set = setIndex(block);
-    u64 base = u64(set) * cfg.ways;
-
-    bool valids[64];
-    h2_assert(cfg.ways <= 64, cfg.name, ": >64 ways unsupported");
-    for (u32 w = 0; w < cfg.ways; ++w)
-        valids[w] = tagLane[base + w] != kInvalidTag;
-    u32 victim = selectVictim(cfg.repl, &stampLane[base], valids,
-                              cfg.ways, ++clock);
+    h2_assert(lines.find(block) == npos, cfg.name,
+              ": double insert of addr ", addr);
+    u64 set = lines.setOf(block);
+    u64 slot = lines.victim(set);
 
     std::optional<Eviction> evicted;
-    u64 slot = base + victim;
-    if (tagLane[slot] != kInvalidTag) {
+    if (lines.valid(slot)) {
+        bool wasDirty = lines.payload(slot) != 0;
         ++nEvictions;
-        if (dirtyLane[slot])
-            ++nDirtyEvictions;
-        evicted = Eviction{lineAddr(set, tagLane[slot]),
-                           dirtyLane[slot] != 0};
+        nDirtyEvictions += wasDirty;
+        evicted = Eviction{lines.keyOf(set, lines.tag(slot)) * cfg.lineBytes,
+                           wasDirty};
     }
-    tagLane[slot] = tagOf(block);
-    dirtyLane[slot] = dirty ? 1 : 0;
-    stampLane[slot] = ++clock;
+    lines.fill(slot, block);
+    lines.payload(slot) = dirty ? 1 : 0;
     return evicted;
 }
 
 std::optional<bool>
 SetAssocCache::invalidate(Addr addr)
 {
-    u64 slot = findSlot(addr);
+    u64 slot = lines.find(blockIndex(addr));
     if (slot == npos)
         return std::nullopt;
-    bool wasDirty = dirtyLane[slot] != 0;
-    tagLane[slot] = kInvalidTag;
-    dirtyLane[slot] = 0;
-    stampLane[slot] = 0;
-    return wasDirty;
+    lines.release(slot);
+    return lines.payload(slot) != 0;
 }
 
 void
 SetAssocCache::setDirty(Addr addr)
 {
-    u64 slot = findSlot(addr);
+    u64 slot = lines.find(blockIndex(addr));
     h2_assert(slot != npos, cfg.name, ": setDirty on absent line ", addr);
-    dirtyLane[slot] = 1;
+    lines.payload(slot) = 1;
 }
 
 u32
@@ -130,21 +96,10 @@ SetAssocCache::residentLinesInRange(Addr base, u64 bytes) const
     return n;
 }
 
-u64
-SetAssocCache::numValidLines() const
-{
-    u64 n = 0;
-    for (u64 tag : tagLane)
-        if (tag != kInvalidTag)
-            ++n;
-    return n;
-}
-
 void
 SetAssocCache::resetStats()
 {
-    nHits = 0;
-    nMisses = 0;
+    lines.resetStats();
     nEvictions = 0;
     nDirtyEvictions = 0;
 }
@@ -152,8 +107,8 @@ SetAssocCache::resetStats()
 void
 SetAssocCache::collectStats(StatSet &out, const std::string &prefix) const
 {
-    out.add(prefix + ".hits", double(nHits));
-    out.add(prefix + ".misses", double(nMisses));
+    out.add(prefix + ".hits", double(hits()));
+    out.add(prefix + ".misses", double(misses()));
     out.add(prefix + ".evictions", double(nEvictions));
     out.add(prefix + ".dirtyEvictions", double(nDirtyEvictions));
 }

@@ -4,29 +4,28 @@
  *
  * Used for the SRAM hierarchy (L1/L2/LLC) and as the tag structure of
  * several DRAM-cache baselines. Purely functional+statistical: it tracks
- * presence/dirtiness, not data values.
+ * presence/dirtiness, not data values. A TagArray keyed by line number
+ * holds the tags, the LRU state and the dirty bits.
  */
 
 #pragma once
 
 #include <optional>
 #include <string>
-#include <vector>
 
-#include "cache/replacement.h"
+#include "cache/tag_array.h"
 #include "common/stats.h"
 #include "common/types.h"
 
 namespace h2::cache {
 
-/** Geometry and policy of a SetAssocCache. */
+/** Geometry of a SetAssocCache (replacement is LRU). */
 struct CacheParams
 {
     std::string name = "cache";
     u64 sizeBytes = 0;
     u32 ways = 1;
     u32 lineBytes = 64;
-    ReplPolicy repl = ReplPolicy::Lru;
 };
 
 /** A line evicted by an insertion. */
@@ -50,7 +49,11 @@ class SetAssocCache
     bool access(Addr addr, AccessType type);
 
     /** Look up without disturbing replacement state or stats. */
-    bool probe(Addr addr) const;
+    bool
+    probe(Addr addr) const
+    {
+        return lines.find(blockIndex(addr)) != npos;
+    }
 
     /** True if present and dirty. */
     bool probeDirty(Addr addr) const;
@@ -73,11 +76,11 @@ class SetAssocCache
     u32 residentLinesInRange(Addr base, u64 bytes) const;
 
     const CacheParams &params() const { return cfg; }
-    u32 numSets() const { return sets; }
-    u64 numValidLines() const;
+    u32 numSets() const { return static_cast<u32>(lines.numSets()); }
+    u64 numValidLines() const { return lines.numValid(); }
 
-    u64 hits() const { return nHits; }
-    u64 misses() const { return nMisses; }
+    u64 hits() const { return lines.hits(); }
+    u64 misses() const { return lines.misses(); }
     u64 evictions() const { return nEvictions; }
     u64 dirtyEvictions() const { return nDirtyEvictions; }
 
@@ -87,55 +90,18 @@ class SetAssocCache
     void collectStats(StatSet &out, const std::string &prefix) const;
 
   private:
-    /** Slot index meaning "not present". */
-    static constexpr u64 npos = ~u64(0);
-    /** Tag-lane value of an invalid way. Real tags are block/sets and
-     *  stay far below 2^64 for any addressable capacity, so the
-     *  all-ones pattern is free to mean "invalid" — the hit scan then
-     *  needs no separate valid bit. */
-    static constexpr u64 kInvalidTag = ~u64(0);
+    static constexpr u64 npos = TagArray<u8>::npos;
 
-    // Hot-path index math: every lookup needs block/set/tag, so the
-    // usual power-of-two geometries fold the div/mod into shift/mask
-    // at construction (cf. DramDevice::decode); exotic sizes keep the
-    // exact div/mod fallback.
     u64
     blockIndex(Addr addr) const
     {
         return linePow2 ? addr >> lineShift : addr / cfg.lineBytes;
     }
-    u32
-    setIndex(u64 block) const
-    {
-        return static_cast<u32>(setPow2 ? block & setMask : block % sets);
-    }
-    u64
-    tagOf(u64 block) const
-    {
-        return setPow2 ? block >> setShift : block / sets;
-    }
-    Addr lineAddr(u32 set, u64 tag) const
-    {
-        return (tag * sets + set) * u64(cfg.lineBytes);
-    }
-    u64 findSlot(Addr addr) const;
 
     CacheParams cfg;
-    u32 sets;
-    bool linePow2 = false;
-    bool setPow2 = false;
+    bool linePow2;
     u32 lineShift = 0;
-    u32 setShift = 0;
-    u64 setMask = 0;
-    // Struct-of-arrays tag store, sets * ways each, way-major within a
-    // set: the hit scan touches only the contiguous tag lane; dirty
-    // and recency live in parallel lanes paid for only on hit/victim.
-    std::vector<u64> tagLane;
-    std::vector<u64> stampLane;
-    std::vector<u8> dirtyLane;
-    u64 clock = 0; ///< recency stamp source
-    u64 nHits = 0;
-    u64 nMisses = 0;
+    TagArray<u8> lines; ///< keyed by line number; payload = dirty bit
     u64 nEvictions = 0;
     u64 nDirtyEvictions = 0;
 };

@@ -4,8 +4,10 @@
 
 namespace h2::core {
 
-Xta::Xta(u64 numSectors, u32 ways, u32 linesPerSector)
-    : waysN(ways), lps(linesPerSector)
+namespace {
+
+u64
+roundedSets(u64 numSectors, u32 ways, u32 linesPerSector)
 {
     h2_assert(ways > 0 && numSectors >= ways,
               "XTA needs at least one full set");
@@ -15,62 +17,24 @@ Xta::Xta(u64 numSectors, u32 ways, u32 linesPerSector)
               linesPerSector);
     // Round the set count down to a power of two (see the header
     // comment) so setOf/tagOf are a mask and a shift on the hot path.
-    sets = u64(1) << floorLog2(numSectors / ways);
-    setShift = floorLog2(sets);
-    setMask = sets - 1;
-    tagLane.assign(sets * waysN, kInvalidTag);
-    entries.resize(sets * waysN);
+    return u64(1) << floorLog2(numSectors / ways);
 }
 
-XtaEntry *
-Xta::find(u64 flatSector)
-{
-    u64 tag = tagOf(flatSector);
-    u64 base = setOf(flatSector) * waysN;
-    for (u32 w = 0; w < waysN; ++w) {
-        if (tagLane[base + w] == tag) {
-            ++nHits;
-            entries[base + w].lruStamp = ++clock;
-            return &entries[base + w];
-        }
-    }
-    ++nMisses;
-    return nullptr;
-}
+} // namespace
 
-const XtaEntry *
-Xta::peek(u64 flatSector) const
+Xta::Xta(u64 numSectors, u32 ways, u32 linesPerSector)
+    : arr(roundedSets(numSectors, ways, linesPerSector), ways),
+      lps(linesPerSector)
 {
-    u64 tag = tagOf(flatSector);
-    u64 base = setOf(flatSector) * waysN;
-    for (u32 w = 0; w < waysN; ++w)
-        if (tagLane[base + w] == tag)
-            return &entries[base + w];
-    return nullptr;
-}
-
-XtaEntry *
-Xta::victimWay(u64 flatSector)
-{
-    u64 base = setOf(flatSector) * waysN;
-    u32 victim = 0;
-    for (u32 w = 0; w < waysN; ++w) {
-        if (tagLane[base + w] == kInvalidTag)
-            return &entries[base + w];
-        if (entries[base + w].lruStamp < entries[base + victim].lruStamp)
-            victim = w;
-    }
-    return &entries[base + victim];
 }
 
 void
 Xta::fill(u64 flatSector, XtaEntry &entry)
 {
-    tagLane[indexOf(entry)] = tagOf(flatSector);
+    arr.fill(arr.slotOf(entry), flatSector);
     entry.validMask = 0;
     entry.dirtyMask = 0;
     entry.accessCounter = 0;
-    entry.lruStamp = ++clock;
 }
 
 u64
@@ -79,14 +43,14 @@ Xta::storageBytes() const
     // Per entry: tag (~4 B), valid+dirty vectors (2 * lps bits),
     // 9-bit counter, two pointers (~4 B each), LRU (~1 B).
     u64 bitsPerEntry = 32 + 2 * lps + 9 + 2 * 32 + 8;
-    return ceilDiv(entries.size() * bitsPerEntry, 8);
+    return ceilDiv(capacitySectors() * bitsPerEntry, 8);
 }
 
 void
 Xta::collectStats(StatSet &out, const std::string &prefix) const
 {
-    out.add(prefix + ".hits", double(nHits));
-    out.add(prefix + ".misses", double(nMisses));
+    out.add(prefix + ".hits", double(hits()));
+    out.add(prefix + ".misses", double(misses()));
     out.add(prefix + ".storageBytes", double(storageBytes()));
 }
 

@@ -9,6 +9,10 @@
  * physical NM location of its data (indirection), which is what lets
  * Hybrid2 promote a cached sector to a migrated one without copying.
  *
+ * The tags, the LRU state and the hit/miss counters are a
+ * cache::TagArray keyed by flat sector number, the same engine as the
+ * SRAM caches; the XtaEntry payload lane carries the Hybrid2 fields.
+ *
  * Set-count rounding: the number of sets is rounded DOWN to a power of
  * two so the per-access setOf/tagOf split is a mask/shift instead of a
  * div/mod (real tag arrays index with address bits the same way). Every
@@ -19,8 +23,7 @@
 
 #pragma once
 
-#include <vector>
-
+#include "cache/tag_array.h"
 #include "common/stats.h"
 #include "common/types.h"
 
@@ -28,11 +31,11 @@ namespace h2::core {
 
 /** Payload of one XTA entry (Figure 4 of the paper).
  *
- *  The presence bit and the tag do NOT live here: they sit in the
- *  Xta's contiguous tag lane (struct-of-arrays), so the per-access
- *  way scan touches one cache line of tags instead of striding over
- *  full entries. Use Xta::entryValid / Xta::entryTag to read them and
- *  Xta::releaseWay to invalidate. */
+ *  The presence bit, the tag and the LRU stamp do NOT live here: they
+ *  sit in the tag array's contiguous lanes (struct-of-arrays), so the
+ *  per-access way scan touches one cache line of tags instead of
+ *  striding over full entries. Use Xta::entryValid / Xta::entryTag to
+ *  read them and Xta::releaseWay to invalidate. */
 struct XtaEntry
 {
     u64 validMask = 0;    ///< per-line presence in NM
@@ -41,7 +44,6 @@ struct XtaEntry
     u64 nmLoc = 0;        ///< NM location of the sector's data
     u64 fmLoc = 0;        ///< FM home while the sector lives in FM
     bool inFm = false;    ///< true: FM sector (fmLoc valid); false: NM
-    u64 lruStamp = 0;
 
     u32 popcountValid() const { return __builtin_popcountll(validMask); }
     u32 popcountDirty() const { return __builtin_popcountll(dirtyMask); }
@@ -58,18 +60,14 @@ class Xta
      */
     Xta(u64 numSectors, u32 ways, u32 linesPerSector);
 
-    u64 numSets() const { return sets; }
-    u32 numWays() const { return waysN; }
-    u64 capacitySectors() const { return sets * waysN; }
+    u64 numSets() const { return arr.numSets(); }
+    u32 numWays() const { return arr.numWays(); }
+    u64 capacitySectors() const { return arr.numSlots(); }
     u32 linesPerSector() const { return lps; }
 
-    u64 setOf(u64 flatSector) const { return flatSector & setMask; }
-    u64 tagOf(u64 flatSector) const { return flatSector >> setShift; }
-    u64
-    flatSectorOf(u64 set, u64 tag) const
-    {
-        return (tag << setShift) | set;
-    }
+    u64 setOf(u64 flatSector) const { return arr.setOf(flatSector); }
+    u64 tagOf(u64 flatSector) const { return arr.tagOf(flatSector); }
+    u64 flatSectorOf(u64 set, u64 tag) const { return arr.keyOf(set, tag); }
     u64
     flatSectorOf(u64 set, const XtaEntry &e) const
     {
@@ -80,20 +78,30 @@ class Xta
     bool
     entryValid(const XtaEntry &e) const
     {
-        return tagLane[indexOf(e)] != kInvalidTag;
+        return arr.valid(arr.slotOf(e));
     }
 
     /** Tag of an in-array entry (lives in the tag lane). */
-    u64 entryTag(const XtaEntry &e) const { return tagLane[indexOf(e)]; }
+    u64 entryTag(const XtaEntry &e) const { return arr.tag(arr.slotOf(e)); }
 
     /** Invalidate an in-array entry (clears its tag-lane slot). */
-    void releaseWay(XtaEntry &e) { tagLane[indexOf(e)] = kInvalidTag; }
+    void releaseWay(XtaEntry &e) { arr.release(arr.slotOf(e)); }
 
     /** Find the entry for @p flatSector; refreshes LRU on hit. */
-    XtaEntry *find(u64 flatSector);
+    XtaEntry *
+    find(u64 flatSector)
+    {
+        u64 slot = arr.lookup(flatSector);
+        return slot == Array::npos ? nullptr : &arr.payload(slot);
+    }
 
     /** Lookup without touching LRU or stats (allocator victim scan). */
-    const XtaEntry *peek(u64 flatSector) const;
+    const XtaEntry *
+    peek(u64 flatSector) const
+    {
+        u64 slot = arr.find(flatSector);
+        return slot == Array::npos ? nullptr : &arr.payload(slot);
+    }
     bool contains(u64 flatSector) const { return peek(flatSector); }
 
     /**
@@ -101,7 +109,11 @@ class Xta
      * an invalid way if one exists, otherwise the LRU way (whose current
      * contents the caller must handle first).
      */
-    XtaEntry *victimWay(u64 flatSector);
+    XtaEntry *
+    victimWay(u64 flatSector)
+    {
+        return &arr.payload(arr.victim(setOf(flatSector)));
+    }
 
     /** Initialize @p entry for @p flatSector and refresh LRU. */
     void fill(u64 flatSector, XtaEntry &entry);
@@ -110,7 +122,7 @@ class Xta
     const XtaEntry &
     entryAt(u64 set, u32 way) const
     {
-        return entries[set * waysN + way];
+        return arr.payload(arr.slotAt(set, way));
     }
 
     /** Iterate the other valid entries of @p flatSector's set. */
@@ -118,51 +130,30 @@ class Xta
     void
     forOthersInSet(u64 flatSector, const XtaEntry &self, Fn &&fn) const
     {
-        u64 base = setOf(flatSector) * waysN;
-        u64 selfIdx = indexOf(self);
-        for (u32 w = 0; w < waysN; ++w)
-            if (tagLane[base + w] != kInvalidTag && base + w != selfIdx)
-                fn(entries[base + w]);
+        u64 selfSlot = arr.slotOf(self);
+        arr.forEachValid(setOf(flatSector), [&](u64 slot) {
+            if (slot != selfSlot)
+                fn(arr.payload(slot));
+        });
     }
 
     /** Estimated on-chip SRAM footprint of the array in bytes
      *  (paper: must stay under ~512 KB). */
     u64 storageBytes() const;
 
-    u64 hits() const { return nHits; }
-    u64 misses() const { return nMisses; }
+    u64 hits() const { return arr.hits(); }
+    u64 misses() const { return arr.misses(); }
 
     /** Zero hit/miss counters after warm-up; LRU state is kept. */
-    void
-    resetStats()
-    {
-        nHits = 0;
-        nMisses = 0;
-    }
+    void resetStats() { arr.resetStats(); }
 
     void collectStats(StatSet &out, const std::string &prefix) const;
 
   private:
-    /** Tag-lane value of an invalid way. Real tags are
-     *  flatSector >> setShift and stay far below 2^64 for any
-     *  modeled capacity, so all-ones doubles as the absent marker. */
-    static constexpr u64 kInvalidTag = ~u64(0);
+    using Array = cache::TagArray<XtaEntry>;
 
-    u64 indexOf(const XtaEntry &e) const { return u64(&e - entries.data()); }
-
-    u64 sets;
-    u32 setShift;
-    u64 setMask;
-    u32 waysN;
+    Array arr;
     u32 lps;
-    /** Contiguous tags (way-major within a set): the hot way scan
-     *  reads only this lane; the payload in @c entries is touched
-     *  only on a hit or for the chosen victim. */
-    std::vector<u64> tagLane;
-    std::vector<XtaEntry> entries;
-    u64 clock = 0;
-    u64 nHits = 0;
-    u64 nMisses = 0;
 };
 
 } // namespace h2::core

@@ -152,8 +152,7 @@ SweepRunner::run(const workloads::Workload &workload,
 {
     const RunOutcome &o = outcome(workload, designSpec);
     if (!o.ok)
-        throw FatalError(detail::concat(key(workload, designSpec), ": ",
-                                        o.error));
+        h2_fatal(key(workload, designSpec), ": ", o.error);
     return o.metrics;
 }
 

@@ -86,13 +86,15 @@ class SweepRunner
     const RunOutcome &outcome(const workloads::Workload &workload,
                               const std::string &designSpec);
 
-    /** Metrics for (workload, design), blocking; throws FatalError
-     *  when the point failed. Prefer outcome() to handle failures. */
+    /** Metrics for (workload, design), blocking. A failed point is an
+     *  h2_fatal: FatalError under a ScopedFatalCapture, otherwise the
+     *  reason on stderr and exit 1. Prefer outcome() to handle
+     *  failures. */
     const Metrics &run(const workloads::Workload &workload,
                        const std::string &designSpec);
 
-    /** Speedup of @p designSpec over the FM-only baseline; throws
-     *  FatalError when either point failed. */
+    /** Speedup of @p designSpec over the FM-only baseline; an
+     *  h2_fatal (as in run()) when either point failed. */
     double speedup(const workloads::Workload &workload,
                    const std::string &designSpec);
 

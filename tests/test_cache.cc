@@ -1,58 +1,99 @@
 /**
  * @file
- * Tests for replacement policies and the generic set-associative cache.
+ * Tests for the LRU tag array and the generic set-associative cache.
  */
 
 #include <gtest/gtest.h>
 
-#include "cache/replacement.h"
+#include <set>
+
 #include "cache/set_assoc_cache.h"
+#include "common/rng.h"
 #include "common/units.h"
 
 namespace h2::cache {
 namespace {
 
 CacheParams
-smallCache(u32 ways = 4, u32 lineBytes = 64,
-           ReplPolicy repl = ReplPolicy::Lru)
+smallCache(u32 ways = 4, u32 lineBytes = 64)
 {
     CacheParams p;
     p.name = "test";
     p.sizeBytes = u64(ways) * lineBytes * 8; // 8 sets
     p.ways = ways;
     p.lineBytes = lineBytes;
-    p.repl = repl;
     return p;
 }
 
-TEST(Replacement, InvalidWayWinsFirst)
+/** Fill every way of @p set with keys set, set + sets, ..., so key
+ *  set + w * sets sits in way w and way 0 is least recently used. */
+void
+fillSet(TagArray<u8> &a, u64 set)
 {
-    u64 stamps[4] = {5, 6, 7, 8};
-    bool valids[4] = {true, true, false, true};
-    EXPECT_EQ(selectVictim(ReplPolicy::Lru, stamps, valids, 4, 0), 2u);
+    for (u32 w = 0; w < a.numWays(); ++w) {
+        u64 key = set + w * a.numSets();
+        a.fill(a.victim(set), key);
+        ASSERT_EQ(a.find(key), a.slotAt(set, w));
+    }
 }
 
-TEST(Replacement, LruPicksSmallestStamp)
+TEST(TagArray, VictimIsFirstInvalidWay)
 {
-    u64 stamps[4] = {5, 2, 7, 8};
-    bool valids[4] = {true, true, true, true};
-    EXPECT_EQ(selectVictim(ReplPolicy::Lru, stamps, valids, 4, 0), 1u);
+    TagArray<u8> a(8, 4);
+    EXPECT_EQ(a.victim(3), a.slotAt(3, 0));
+    fillSet(a, 3);
+    a.release(a.slotAt(3, 2));
+    a.release(a.slotAt(3, 1));
+    // Way 0 is least recently used, but an invalid way wins, and of
+    // two invalid ways the first.
+    EXPECT_FALSE(a.valid(a.slotAt(3, 1)));
+    EXPECT_EQ(a.victim(3), a.slotAt(3, 1));
 }
 
-TEST(Replacement, RandomStaysInRange)
+TEST(TagArray, VictimIsLeastRecentlyUsedWhenFull)
 {
-    u64 stamps[4] = {1, 2, 3, 4};
-    bool valids[4] = {true, true, true, true};
-    for (u64 t = 0; t < 100; ++t)
-        EXPECT_LT(selectVictim(ReplPolicy::Random, stamps, valids, 4, t),
-                  4u);
+    TagArray<u8> a(8, 4);
+    fillSet(a, 5);
+    EXPECT_EQ(a.victim(5), a.slotAt(5, 0));
+    ASSERT_NE(a.lookup(5), TagArray<u8>::npos); // refresh way 0
+    EXPECT_EQ(a.victim(5), a.slotAt(5, 1));
+    ASSERT_NE(a.lookup(5 + 8), TagArray<u8>::npos); // refresh way 1
+    EXPECT_EQ(a.victim(5), a.slotAt(5, 2));
+    // Refilling the victim makes it most recent.
+    a.fill(a.victim(5), 5 + 4 * 8);
+    EXPECT_EQ(a.victim(5), a.slotAt(5, 3));
 }
 
-TEST(Replacement, ToString)
+TEST(TagArray, FindHasNoSideEffectsLookupCountsAndRefreshes)
 {
-    EXPECT_EQ(to_string(ReplPolicy::Lru), "LRU");
-    EXPECT_EQ(to_string(ReplPolicy::Fifo), "FIFO");
-    EXPECT_EQ(to_string(ReplPolicy::Random), "Random");
+    TagArray<u8> a(8, 4);
+    fillSet(a, 0);
+    EXPECT_EQ(a.find(0), a.slotAt(0, 0));
+    EXPECT_EQ(a.find(4 * 8), TagArray<u8>::npos);
+    EXPECT_EQ(a.hits(), 0u);
+    EXPECT_EQ(a.misses(), 0u);
+    EXPECT_EQ(a.victim(0), a.slotAt(0, 0)); // find did not refresh
+
+    EXPECT_EQ(a.lookup(0), a.slotAt(0, 0));
+    EXPECT_EQ(a.lookup(4 * 8), TagArray<u8>::npos);
+    EXPECT_EQ(a.hits(), 1u);
+    EXPECT_EQ(a.misses(), 1u);
+    EXPECT_EQ(a.victim(0), a.slotAt(0, 1)); // lookup did
+
+    a.resetStats();
+    EXPECT_EQ(a.hits(), 0u);
+    EXPECT_EQ(a.misses(), 0u);
+    EXPECT_EQ(a.victim(0), a.slotAt(0, 1)); // recency survives the reset
+}
+
+TEST(TagArray, NonPowerOfTwoSetSplitIsExact)
+{
+    TagArray<u8> a(3, 2);
+    for (u64 key = 0; key < 1000; ++key) {
+        ASSERT_EQ(a.setOf(key), key % 3);
+        ASSERT_EQ(a.tagOf(key), key / 3);
+        ASSERT_EQ(a.keyOf(a.setOf(key), a.tagOf(key)), key);
+    }
 }
 
 TEST(SetAssocCache, MissThenHit)
@@ -88,16 +129,42 @@ TEST(SetAssocCache, LruEvictionOrder)
     EXPECT_EQ(victim->addr, setStride);
 }
 
-TEST(SetAssocCache, FifoIgnoresAccessRecency)
+TEST(SetAssocCache, NonPowerOfTwoSetsEvictTheAddressesInserted)
 {
-    SetAssocCache c(smallCache(4, 64, ReplPolicy::Fifo));
-    u64 setStride = 8 * 64;
-    for (u64 i = 0; i < 4; ++i)
-        c.insert(i * setStride, false);
-    EXPECT_TRUE(c.access(0, AccessType::Read)); // should NOT refresh
-    auto victim = c.insert(4 * setStride, false);
-    ASSERT_TRUE(victim.has_value());
-    EXPECT_EQ(victim->addr, 0u); // oldest insertion evicted
+    // 3 sets x 2 ways (DFC's tag store has 98,304 sets at 1.5 GiB NM):
+    // every eviction must name a line that was inserted, with the
+    // dirtiness it was inserted with.
+    CacheParams p;
+    p.name = "threeSets";
+    p.sizeBytes = 3 * 2 * 64;
+    p.ways = 2;
+    p.lineBytes = 64;
+    SetAssocCache c(p);
+    EXPECT_EQ(c.numSets(), 3u);
+
+    std::set<Addr> resident;
+    std::set<Addr> dirty;
+    Rng rng(11);
+    for (int i = 0; i < 2000; ++i) {
+        Addr a = rng.below(64) * 64;
+        if (c.access(a, AccessType::Read))
+            continue;
+        bool d = rng.chance(0.5);
+        auto victim = c.insert(a, d);
+        if (victim) {
+            ASSERT_EQ(resident.erase(victim->addr), 1u)
+                << "evicted " << victim->addr << " was never inserted";
+            ASSERT_EQ(victim->dirty, dirty.erase(victim->addr) == 1);
+            // LRU within a set: the victim shares the new line's set.
+            ASSERT_EQ(victim->addr / 64 % 3, a / 64 % 3);
+        }
+        resident.insert(a);
+        if (d)
+            dirty.insert(a);
+    }
+    EXPECT_EQ(c.numValidLines(), resident.size());
+    for (Addr a : resident)
+        EXPECT_TRUE(c.probe(a));
 }
 
 TEST(SetAssocCache, DirtyTracking)

@@ -110,9 +110,24 @@ TEST(SweepFaultTolerance, RunThrowsFatalErrorForFailedPoint)
 {
     SweepRunner sweep(quickCfg(), 1);
     auto w = tinyWorkload();
-    EXPECT_THROW(sweep.run(w, "nosuchdesign"), FatalError);
+    {
+        ScopedFatalCapture capture;
+        EXPECT_THROW(sweep.run(w, "nosuchdesign"), FatalError);
+    }
     // The sweep object survives and still executes healthy points.
     EXPECT_TRUE(sweep.outcome(w, "baseline").ok);
+}
+
+TEST(FatalCaptureDeathTest, RunOfFailedPointWithoutCaptureExits1)
+{
+    // Outside a capture a failed point is a fatal like any other: the
+    // reason on stderr and exit(1), never an uncaught exception. The
+    // sweep is built inside the child so its workers exist there.
+    auto w = tinyWorkload();
+    EXPECT_EXIT(SweepRunner(quickCfg(), 1).run(w, "nosuchdesign"),
+                testing::ExitedWithCode(1), "nosuchdesign");
+    EXPECT_EXIT(SweepRunner(quickCfg(), 1).speedup(w, "nosuchdesign"),
+                testing::ExitedWithCode(1), "nosuchdesign");
 }
 
 TEST(SweepFaultTolerance, InvalidRunConfigFailsPointsNotProcess)

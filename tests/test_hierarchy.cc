@@ -16,9 +16,9 @@ tinyHierarchy(u32 cores = 2)
 {
     HierarchyParams p;
     p.numCores = cores;
-    p.l1 = {"L1", 1 * KiB, 2, 64, ReplPolicy::Lru};
-    p.l2 = {"L2", 4 * KiB, 4, 64, ReplPolicy::Lru};
-    p.llc = {"LLC", 16 * KiB, 4, 64, ReplPolicy::Lru};
+    p.l1 = {"L1", 1 * KiB, 2, 64};
+    p.l2 = {"L2", 4 * KiB, 4, 64};
+    p.llc = {"LLC", 16 * KiB, 4, 64};
     return p;
 }
 
